@@ -14,8 +14,9 @@ ensembling is never worse for the defender, and the evasion gap it was
 never optimized against tends to shrink.
 """
 
+from repro.api.session import evaluate_method
 from repro.attacks import FGATargeted, GEAttack
-from repro.experiments import evaluate_attack_method, format_table
+from repro.experiments import format_table
 from repro.explain import EnsembleExplainer, GNNExplainer
 
 
@@ -56,7 +57,7 @@ def run(cache, config):
     rows = []
     for attack in attacks:
         for name, factory in inspectors.items():
-            evaluation = evaluate_attack_method(case, attack, victims, factory)
+            evaluation = evaluate_method(case, attack, victims, factory)
             table[(attack.name, name)] = evaluation
             rows.append(
                 [

@@ -19,12 +19,9 @@ paper's structure-only focus.  The shape assertions below encode the
 inspector-power gap, not a feature-evasion win.
 """
 
+from repro.api.session import evaluate_method
 from repro.attacks import FGATargeted, FeatureFGA, GEFAttack
-from repro.experiments import (
-    evaluate_attack_method,
-    evaluate_feature_attack_method,
-    format_table,
-)
+from repro.experiments import evaluate_feature_attack_method, format_table
 from repro.explain import GNNExplainer
 
 
@@ -50,7 +47,7 @@ def run(cache, config):
         evaluations[attack.name] = evaluate_feature_attack_method(
             case, attack, victims, feature_factory
         )
-    evaluations["FGA-T (edges)"] = evaluate_attack_method(
+    evaluations["FGA-T (edges)"] = evaluate_method(
         case, FGATargeted(case.model, seed=case.seed + 71), victims, edge_factory
     )
 

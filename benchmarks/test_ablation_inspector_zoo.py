@@ -15,8 +15,9 @@ detects what GNNExplainer misses, a defender could ensemble them.
 
 import numpy as np
 
+from repro.api.session import evaluate_method
 from repro.attacks import GEAttack, Nettack
-from repro.experiments import evaluate_attack_method, format_table
+from repro.experiments import format_table
 from repro.explain import GNNExplainer, GradExplainer, OcclusionExplainer
 
 
@@ -48,7 +49,7 @@ def run(cache, config):
     rows = []
     for attack in attacks:
         for name, factory in inspector_factories(case, config).items():
-            evaluation = evaluate_attack_method(case, attack, victims, factory)
+            evaluation = evaluate_method(case, attack, victims, factory)
             table[(attack.name, name)] = evaluation
             rows.append(
                 [

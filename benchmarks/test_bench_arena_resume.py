@@ -9,9 +9,10 @@ budget — twice against one store:
 * the **warm** run must execute *zero* attacks (asserted on the engine's
   execution counter) and render a byte-identical matrix.
 
-Both wall-clock times land in ``BENCH_arena_resume.json`` at the repo
-root.  The warm run still retrains models and re-evaluates defenses — the
-recorded speedup is the honest cost of resumption, not a cache fantasy.
+Both wall-clock times are printed (repeatable timings with spread live
+in ``perfbench/``; this test writes no file).  The warm run still
+retrains models and re-evaluates defenses — the printed speedup is the
+honest cost of resumption, not a cache fantasy.
 
 The matrix itself carries the paper's joint-attack claim, asserted here
 deterministically: under the explainer defense, GEAttack's suspicion
@@ -22,24 +23,17 @@ higher rate at matched budgets.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import replace
 
+from repro.api import Session
 from repro.arena import (
     ResultStore,
     ScenarioGrid,
     arena_matrix,
     render_arena_matrices,
-    run_arena,
 )
 from repro.experiments import SCALE_PRESETS
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_arena_resume.json",
-)
 
 #: The acceptance operating point: converged inspector (the config
 #: docstring's 150-step / lr-0.05 setting) and GEAttack at λ = 1.0, where
@@ -66,12 +60,12 @@ def test_bench_arena_resume(tmp_path):
     store = ResultStore(tmp_path / "arena-store")
 
     start = time.perf_counter()
-    cold = run_arena(ARENA_GRID, store, config=ARENA_CONFIG)
+    cold = Session(ARENA_CONFIG).arena(ARENA_GRID, store)
     cold_seconds = time.perf_counter() - start
     cold_text = render_arena_matrices(cold)
 
     start = time.perf_counter()
-    warm = run_arena(ARENA_GRID, store, config=ARENA_CONFIG)
+    warm = Session(ARENA_CONFIG).arena(ARENA_GRID, store)
     warm_seconds = time.perf_counter() - start
     warm_text = render_arena_matrices(warm)
 
@@ -82,29 +76,6 @@ def test_bench_arena_resume(tmp_path):
         for attack in ARENA_GRID.attacks
     }
 
-    record = {
-        "grid": {
-            "datasets": list(ARENA_GRID.datasets),
-            "attacks": list(ARENA_GRID.attacks),
-            "defenses": list(ARENA_GRID.defenses),
-            "budget_caps": list(ARENA_GRID.budget_caps),
-            "seeds": list(ARENA_GRID.seeds),
-        },
-        "geattack_lam": ARENA_CONFIG.geattack_lam,
-        "victim_results": cold.executed,
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
-        "speedup": round(cold_seconds / warm_seconds, 2),
-        "executed_cold": cold.executed,
-        "executed_warm": warm.executed,
-        "byte_identical_matrix": warm_text == cold_text,
-        "evasion_rate": evasion,
-        "detection_auc": detection,
-        "explainer_detector_evasion": detector_evasion,
-    }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     print()
     print(cold_text)
     print()

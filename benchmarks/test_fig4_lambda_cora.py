@@ -8,7 +8,8 @@ EXPERIMENTS.md for the mapping.)
 
 import numpy as np
 
-from repro.experiments import format_series, lambda_sweep
+from repro.api.session import sweep_points
+from repro.experiments import format_series
 
 # Grid on the normalized (dimensionless) λ axis: λ = 1 gives the attack
 # and evasion gradients equal say; the paper's raw grid {0.001 … 1000}
@@ -20,7 +21,7 @@ LAMBDA_GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0)
 def run(cache, config):
     case = cache.case("cora", config)
     victims = cache.victims("cora", config)
-    points = lambda_sweep(case, victims, lambdas=LAMBDA_GRID)
+    points = sweep_points(case, victims, "lambda", values=LAMBDA_GRID)
     print()
     print(
         format_series(

@@ -7,13 +7,14 @@ keeps more low-ranked edges.
 
 import numpy as np
 
-from repro.experiments import PAPER_L_GRID, format_series, subgraph_size_sweep
+from repro.api.session import sweep_points
+from repro.experiments import PAPER_L_GRID, format_series
 
 
 def run(cache, config):
     case = cache.case("cora", config)
     victims = cache.victims("cora", config)
-    points = subgraph_size_sweep(case, victims, sizes=PAPER_L_GRID)
+    points = sweep_points(case, victims, "subgraph-size", values=PAPER_L_GRID)
     print()
     print(
         format_series(

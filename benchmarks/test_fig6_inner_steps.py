@@ -7,7 +7,8 @@ detection metrics do not keep improving with larger T.
 import numpy as np
 import pytest
 
-from repro.experiments import format_series, inner_steps_sweep
+from repro.api.session import sweep_points
+from repro.experiments import format_series
 
 T_GRID = (1, 2, 3, 5, 8, 10)
 
@@ -15,7 +16,7 @@ T_GRID = (1, 2, 3, 5, 8, 10)
 def run(cache, config, dataset):
     case = cache.case(dataset, config)
     victims = cache.victims(dataset, config)
-    points = inner_steps_sweep(case, victims, steps=T_GRID)
+    points = sweep_points(case, victims, "inner-steps", values=T_GRID)
     print()
     print(
         format_series(

@@ -6,7 +6,8 @@ once λ is large (the attack budget is fully spent on evasive edges).
 
 import numpy as np
 
-from repro.experiments import format_series, lambda_sweep
+from repro.api.session import sweep_points
+from repro.experiments import format_series
 
 # Same normalized-λ axis as Figure 4 (λ = 1 ⇒ equal gradient say).
 LAMBDA_GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0)
@@ -15,7 +16,7 @@ LAMBDA_GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0)
 def run(cache, config):
     case = cache.case("citeseer", config)
     victims = cache.victims("citeseer", config)
-    points = lambda_sweep(case, victims, lambdas=LAMBDA_GRID)
+    points = sweep_points(case, victims, "lambda", values=LAMBDA_GRID)
     print()
     print(
         format_series(

@@ -11,11 +11,12 @@ Paper shape (per dataset):
 import numpy as np
 import pytest
 
-from repro.experiments import format_comparison_table, run_comparison
+from repro.api import Session
+from repro.experiments import format_comparison_table
 
 
 def run(dataset, config):
-    comparison = run_comparison(dataset, config, explainer="gnn")
+    comparison = Session(config).table(dataset, explainer="gnn")
     print()
     print(format_comparison_table(comparison))
     return comparison

@@ -6,11 +6,12 @@ detect than all non-random baselines under PGExplainer's edge ranking.
 
 import numpy as np
 
-from repro.experiments import format_comparison_table, run_comparison
+from repro.api import Session
+from repro.experiments import format_comparison_table
 
 
 def run(config):
-    comparison = run_comparison("citeseer", config, explainer="pg")
+    comparison = Session(config).table("citeseer", explainer="pg")
     print()
     print(format_comparison_table(comparison))
     return comparison

@@ -147,7 +147,6 @@ def attacker_case(case, threat, context=None):
     cache when one is given, so one surrogate training run covers every
     cell sharing the victim case and surrogate settings).
     """
-    from repro.api.specs import ThreatModel
     from repro.threat import surrogate_case
 
     threat = ThreatModel.parse(threat)
@@ -177,8 +176,7 @@ def fit_pg_explainer(case, config, memo=None):
     """
     key = ("pg", id(case))
     if memo is not None and key in memo:
-        entry = memo[key]
-        return entry[1] if isinstance(entry, tuple) else entry
+        return memo[key][1]
     explainer = PGExplainer(
         case.model, epochs=config.pg_epochs, seed=case.seed + PG_SEED_OFFSET
     ).fit(case.graph, instances=config.pg_instances)
@@ -197,20 +195,14 @@ def scenario_spec(cell, config):
     """
     from repro.threat import resolve_threat
 
-    arch = getattr(cell, "arch", "gcn")
     return ScenarioSpec(
         dataset=DatasetSpec.from_config(cell.dataset, config),
-        model=ModelSpec.from_config(config, hidden=cell.hidden, arch=arch),
+        model=ModelSpec.from_config(config, hidden=cell.hidden, arch=cell.arch),
         victim_policy=VictimPolicy.from_config(config),
         attack=attack_spec(cell.attack, config),
         budget_cap=cell.budget_cap,
         seed=cell.seed,
-        threat=resolve_threat(
-            getattr(cell, "threat", None) or ThreatModel(),
-            config,
-            cell.seed,
-            arch=arch,
-        ),
+        threat=resolve_threat(cell.threat, config, cell.seed, arch=cell.arch),
     )
 
 

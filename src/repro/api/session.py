@@ -13,9 +13,10 @@ executes every experiment shape through one streaming entry point::
     table = session.table("cora")         # or drain to the result object
 
 ``session.table`` / ``session.sweep`` / ``session.arena`` are thin
-drains over :meth:`Session.run`; the legacy module-level functions
-(``run_comparison``, ``evaluate_attack_method``, the sweep trio,
-``run_arena``) forward here, so there is exactly one execution path.
+drains over :meth:`Session.run`.  Callers that bring their own prepared
+case and victims use the module-level drains of the same engine,
+:func:`evaluate_method` and :func:`sweep_points`, so there is exactly
+one execution path.
 
 Determinism contract (inherited from the engine this absorbs): per-victim
 work is seeded by the victim's node id, so any ``jobs`` width produces
@@ -61,18 +62,13 @@ from repro.arena.grid import (
     SCHEMA_VERSION,
     cell_config,
     content_key,
+    validate_grid,
     victim_dict,
     victim_key,
 )
 from repro.arena.runner import ArenaRun, CellEvaluation
 from repro.arena.store import ResultStore
-from repro.attacks import (
-    ATTACKS,
-    EXTENSION_ATTACKS,
-    AttackResult,
-    VictimSpec,
-)
-from repro.defense import DEFENSES
+from repro.attacks import AttackResult, VictimSpec
 from repro.experiments.config import SCALE_PRESETS
 from repro.experiments.pipeline import (
     MethodEvaluation,
@@ -119,7 +115,6 @@ def iter_method_events(
     attack,
     victims,
     explainer_factory,
-    detection_k=None,
     jobs=1,
     locality=True,
     keep_ranking=False,
@@ -128,7 +123,7 @@ def iter_method_events(
     """Attack every victim, inspect with the explainer, stream the results.
 
     The single attack→inspect loop behind the table runner, the sweeps and
-    ``evaluate_attack_method``: yields one :class:`VictimEvaluated` per
+    :func:`evaluate_method`: yields one :class:`VictimEvaluated` per
     victim (in victim order, independent of ``jobs``), closing with a
     :class:`MethodEvaluated` carrying the aggregated
     :class:`~repro.experiments.MethodEvaluation`.  ``keep_ranking``
@@ -137,13 +132,12 @@ def iter_method_events(
 
     ``eval_spec`` (an :class:`~repro.api.specs.EvalSpec`) sets the
     detection cut-off K and the inspection window L, defaulting to the
-    case config's values; the legacy ``detection_k`` argument, when given,
-    overrides the spec's K.
+    case config's values.
     """
     config = case.config
     if eval_spec is None:
         eval_spec = EvalSpec.from_config(config)
-    k = int(detection_k or eval_spec.detection_k)
+    k = int(eval_spec.detection_k)
     window = int(eval_spec.explanation_size)
     victims = list(victims)
 
@@ -232,7 +226,6 @@ def evaluate_method(
     attack,
     victims,
     explainer_factory,
-    detection_k=None,
     jobs=1,
     locality=True,
     eval_spec=None,
@@ -244,7 +237,6 @@ def evaluate_method(
         attack,
         victims,
         explainer_factory,
-        detection_k=detection_k,
         jobs=jobs,
         locality=locality,
         eval_spec=eval_spec,
@@ -524,8 +516,8 @@ class Session:
         return result
 
     def evaluate(
-        self, case, attack, victims, explainer_factory, detection_k=None,
-        locality=True, eval_spec=None,
+        self, case, attack, victims, explainer_factory, locality=True,
+        eval_spec=None,
     ):
         """One method over one victim set (the pipeline's primitive)."""
         return evaluate_method(
@@ -533,7 +525,6 @@ class Session:
             attack,
             victims,
             explainer_factory,
-            detection_k=detection_k,
             jobs=self.jobs,
             locality=locality,
             eval_spec=eval_spec,
@@ -650,40 +641,7 @@ class Session:
         config = self.config
         # Fail on axis typos in milliseconds, not after the first cell's
         # attacks have burned minutes of compute.
-        known_attacks = {**ATTACKS, **EXTENSION_ATTACKS}
-        for name in grid.attacks:
-            if name not in known_attacks:
-                raise KeyError(
-                    f"unknown attack {name!r}; options: {sorted(known_attacks)}"
-                )
-        for name in grid.defenses:
-            if name not in DEFENSES:
-                raise KeyError(
-                    f"unknown defense {name!r}; options: {sorted(DEFENSES)}"
-                )
-        from repro.nn import ARCHITECTURES
-
-        for arch in getattr(grid, "archs", ("gcn",)):
-            if arch not in ARCHITECTURES:
-                raise KeyError(
-                    f"unknown architecture {arch!r}; "
-                    f"options: {sorted(ARCHITECTURES)}"
-                )
-        for threat in getattr(grid, "threats", ()):
-            if threat.is_adaptive and threat.defense not in DEFENSES:
-                raise KeyError(
-                    f"unknown adapted defense {threat.defense!r}; "
-                    f"options: {sorted(DEFENSES)}"
-                )
-            if (
-                threat.surrogate_arch is not None
-                and threat.surrogate_arch not in ARCHITECTURES
-            ):
-                raise KeyError(
-                    f"unknown surrogate architecture "
-                    f"{threat.surrogate_arch!r}; "
-                    f"options: {sorted(ARCHITECTURES)}"
-                )
+        validate_grid(grid)
         run = ArenaRun(grid=grid, config=config)
 
         tracer = get_tracer()
@@ -767,7 +725,7 @@ class Session:
                         cell.dataset,
                         seed=cell.seed,
                         hidden=cell.hidden,
-                        arch=getattr(cell, "arch", "gcn"),
+                        arch=cell.arch,
                     )
                 specs = [
                     VictimSpec(
@@ -846,7 +804,7 @@ class Session:
             return frozenset()
         threat = resolve_threat(
             cell.threat, self.config, cell.seed,
-            arch=getattr(cell, "arch", "gcn"),
+            arch=cell.arch,
         )
         attack = build_attack(
             cell.attack, case, self.config, context=self, threat=threat,

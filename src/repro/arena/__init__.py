@@ -12,12 +12,12 @@ keep their historical store keys.
 
 Quick start::
 
-    from repro.arena import ScenarioGrid, ResultStore, run_arena
-    from repro.arena import render_arena_matrices
+    from repro.api import Session
+    from repro.arena import ScenarioGrid, ResultStore, render_arena_matrices
 
     grid = ScenarioGrid(attacks=("FGA-T", "GEAttack"),
                         defenses=("none", "explainer"))
-    run = run_arena(grid, ResultStore("arena-store"), jobs=4)
+    run = Session(jobs=4).arena(grid, ResultStore("arena-store"))
     print(render_arena_matrices(run))
     print(run.stats_line())  # "executed N attacks, M ... from the store"
 
@@ -35,12 +35,7 @@ from repro.arena.grid import (
     victim_key,
 )
 from repro.arena.report import arena_matrix, matrix_cells, render_arena_matrices
-from repro.arena.runner import (
-    ArenaRun,
-    CellEvaluation,
-    build_arena_attack,
-    run_arena,
-)
+from repro.arena.runner import ArenaRun, CellEvaluation
 from repro.arena.store import Lease, ResultStore
 
 __all__ = [
@@ -53,12 +48,10 @@ __all__ = [
     "ScenarioGrid",
     "ThreatModel",
     "arena_matrix",
-    "build_arena_attack",
     "canonical_json",
     "cell_config",
     "content_key",
     "matrix_cells",
     "render_arena_matrices",
-    "run_arena",
     "victim_key",
 ]

@@ -35,6 +35,7 @@ __all__ = [
     "canonical_json",
     "content_key",
     "cell_config",
+    "validate_grid",
     "victim_dict",
     "victim_key",
 ]
@@ -149,6 +150,53 @@ class ScenarioGrid:
             * len(self.seeds)
             * len(self.threats)
         )
+
+
+def validate_grid(grid):
+    """Reject axis typos before any cell has trained or attacked.
+
+    Checks every registry name on the grid — attacks, defenses,
+    architectures, adapted defenses and surrogate architectures — and
+    raises :class:`KeyError` naming the first unknown one with its
+    options.  ``Session`` lets it propagate, the job server answers 400
+    and the CLI exits with a one-line ``error:``.
+    """
+    from repro.attacks import ATTACKS, EXTENSION_ATTACKS
+    from repro.defense import DEFENSES
+    from repro.nn import ARCHITECTURES
+
+    known_attacks = {**ATTACKS, **EXTENSION_ATTACKS}
+    for name in grid.attacks:
+        if name not in known_attacks:
+            raise KeyError(
+                f"unknown attack {name!r}; options: {sorted(known_attacks)}"
+            )
+    for name in grid.defenses:
+        if name not in DEFENSES:
+            raise KeyError(
+                f"unknown defense {name!r}; options: {sorted(DEFENSES)}"
+            )
+    for arch in grid.archs:
+        if arch not in ARCHITECTURES:
+            raise KeyError(
+                f"unknown architecture {arch!r}; "
+                f"options: {sorted(ARCHITECTURES)}"
+            )
+    for threat in grid.threats:
+        if threat.is_adaptive and threat.defense not in DEFENSES:
+            raise KeyError(
+                f"unknown adapted defense {threat.defense!r}; "
+                f"options: {sorted(DEFENSES)}"
+            )
+        if (
+            threat.surrogate_arch is not None
+            and threat.surrogate_arch not in ARCHITECTURES
+        ):
+            raise KeyError(
+                f"unknown surrogate architecture "
+                f"{threat.surrogate_arch!r}; "
+                f"options: {sorted(ARCHITECTURES)}"
+            )
 
 
 def cell_config(cell, config):

@@ -33,18 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.specs import ThreatModel
 from repro.experiments.reporting import finite_mean, format_table
 
 __all__ = ["matrix_cells", "arena_matrix", "render_arena_matrices"]
-
-
-def _grid_threats(grid):
-    return tuple(getattr(grid, "threats", ())) or (ThreatModel(),)
-
-
-def _grid_archs(grid):
-    return tuple(getattr(grid, "archs", ())) or ("gcn",)
 
 
 def matrix_cells(run, attack, defense, threat=None, arch=None):
@@ -153,7 +144,7 @@ def _arch_blocks(run, scope, arch=None, arch_tag=""):
     ``arch=None`` aggregates over the whole arch axis — the historical
     single-arch rendering, byte-identical for default grids.
     """
-    threats = _grid_threats(run.grid)
+    threats = run.grid.threats
     if len(threats) == 1:
         tag = "" if threats[0].is_default else f" threat={threats[0].label()}"
         return _threat_trio(run, scope, tag=tag + arch_tag, arch=arch)
@@ -212,7 +203,7 @@ def render_arena_matrices(run):
         f"budgets={','.join(str(b) for b in grid.budget_caps)} "
         f"seeds={','.join(str(s) for s in grid.seeds)}"
     )
-    archs = _grid_archs(grid)
+    archs = grid.archs
     if len(archs) == 1:
         arch_tag = "" if archs[0] == "gcn" else f" arch={archs[0]}"
         return "\n\n".join(_arch_blocks(run, scope, arch_tag=arch_tag))

@@ -1,21 +1,19 @@
-"""Arena result types and the legacy ``run_arena`` entry point.
+"""Arena result types.
 
-The execution loop lives in the façade (:meth:`repro.api.Session.run`
-with an :class:`~repro.api.specs.ArenaExperiment`): schedule cells, reuse
-stored results, evaluate every defense through the content-addressed
-store.  This module keeps the arena's result dataclasses and a thin
-:func:`run_arena` forward so existing callers keep working unchanged —
-same store keys, same byte-identical matrices, same
-``executed 0 attacks`` warm-resume contract (asserted by the resume
+The execution loop lives in the façade (:meth:`repro.api.Session.arena`,
+or :meth:`~repro.api.Session.run` with an
+:class:`~repro.api.specs.ArenaExperiment`): schedule cells, reuse stored
+results, evaluate every defense through the content-addressed store.
+This module keeps the arena's result dataclasses, including the
+``executed 0 attacks`` warm-resume contract line (asserted by the resume
 tests, the benchmark and the CI smoke job on ``ArenaRun.stats_line``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-__all__ = ["CellEvaluation", "ArenaRun", "run_arena", "build_arena_attack"]
+__all__ = ["CellEvaluation", "ArenaRun"]
 
 
 @dataclass(frozen=True)
@@ -61,86 +59,3 @@ class ArenaRun:
             f"executed {self.executed} attacks, "
             f"{self.loaded} victim results served from the store"
         )
-
-
-def run_arena(
-    grid,
-    store,
-    config=None,
-    jobs=1,
-    cases=None,
-    progress=None,
-    lease_ttl=None,
-    poll_interval=None,
-):
-    """Run (or resume) a scenario grid against a result store.
-
-    Forwards to the façade: equivalent to
-    ``Session(config=config, jobs=jobs, cases=cases).arena(grid, store,
-    progress=progress)``.  See :class:`repro.api.Session` for the
-    streaming event interface this drains.
-
-    N concurrent ``run_arena`` calls (processes or hosts sharing the
-    store's filesystem) may execute overlapping grids: per-cell advisory
-    leases make each unique cell execute exactly once, with the losers
-    re-polling the store (every ``poll_interval`` seconds) and stealing
-    leases older than ``lease_ttl`` seconds from dead writers.
-
-    Parameters
-    ----------
-    grid:
-        A :class:`repro.arena.grid.ScenarioGrid`.
-    store:
-        A :class:`repro.arena.store.ResultStore` or a path for one.
-        Completed victims found in the store are never re-executed —
-        running the same grid twice executes zero attacks the second time.
-    config:
-        :class:`repro.experiments.ExperimentConfig` supplying every knob a
-        cell key hashes (defaults to the ``smoke`` preset).
-    jobs:
-        Process-pool width for both attack execution (``attack_many``) and
-        defense evaluation; any value yields the identical matrix.
-    cases:
-        Optional mutable dict for sharing prepared cases across runs in
-        one process (the resume tests reuse trained models this way).
-    progress:
-        Optional ``callable(str)`` receiving one line per cell.
-
-    Returns
-    -------
-    ArenaRun
-    """
-    from repro.api.session import Session
-
-    session = Session(config=config, jobs=jobs, cases=cases)
-    return session.arena(
-        grid,
-        store,
-        progress=progress,
-        lease_ttl=lease_ttl,
-        poll_interval=poll_interval,
-    )
-
-
-def build_arena_attack(name, case, config, memo=None):
-    """Deprecated: instantiate a registry attack at the config's knobs.
-
-    .. deprecated::
-        Use :func:`repro.api.registry.build_attack` (or
-        ``AttackSpec.build``), which generates the construction from the
-        attack's declared ``config_params`` schema instead of a
-        hand-maintained name ladder.  This shim forwards there.
-    """
-    warnings.warn(
-        "repro.arena.runner.build_arena_attack is deprecated; build attacks "
-        "through repro.api (registry.build_attack / AttackSpec.build)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.registry import attack_class, attack_spec, fit_pg_explainer
-
-    cls = attack_class(name)  # raises the historical "unknown attack" KeyError
-    dependencies = {}
-    if "pg_explainer" in cls.requires:
-        dependencies["pg_explainer"] = fit_pg_explainer(case, config, memo=memo)
-    return cls.from_spec(case, attack_spec(name, config), dependencies=dependencies)

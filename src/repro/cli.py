@@ -411,8 +411,8 @@ def _serve(config, args):
 
 def _arena(session, args):
     """Run (or resume) the attack × defense robustness arena."""
-    from repro.api.specs import ThreatModel
     from repro.arena import ResultStore, ScenarioGrid, render_arena_matrices
+    from repro.arena.grid import validate_grid
 
     if args.fresh and args.resume:
         raise SystemExit(
@@ -420,44 +420,23 @@ def _arena(session, args):
             "(--fresh clears the store before running, --resume reuses "
             "its completed results)"
         )
-    # Parse threat tokens up front so a typo surfaces as a clean one-line
-    # error instead of a traceback out of the grid constructor.
-    try:
-        threats = tuple(
-            ThreatModel.parse(token)
-            for token in (args.threats or ("white_box+oblivious",))
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    # Same convention for the architecture axis: validate at submit time,
-    # before any training has burned compute.
-    from repro.nn import ARCHITECTURES
-
+    # Build and validate the whole grid before the store exists and before
+    # any training has burned compute: a malformed threat token or an
+    # unknown registry name is a one-line error, not a traceback.
     archs = tuple(a.strip() for a in args.archs.split(",") if a.strip())
-    for arch in archs:
-        if arch not in ARCHITECTURES:
-            raise SystemExit(
-                f"error: unknown architecture {arch!r}; "
-                f"options: {sorted(ARCHITECTURES)}"
-            )
-    for threat in threats:
-        if (
-            threat.surrogate_arch is not None
-            and threat.surrogate_arch not in ARCHITECTURES
-        ):
-            raise SystemExit(
-                f"error: unknown surrogate architecture "
-                f"{threat.surrogate_arch!r}; options: {sorted(ARCHITECTURES)}"
-            )
-    grid = ScenarioGrid(
-        datasets=tuple(args.dataset or ("cora",)),
-        attacks=tuple(args.attacks.split(",")),
-        defenses=tuple(args.defenses.split(",")),
-        budget_caps=tuple(int(b) for b in args.budgets.split(",")),
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
-        threats=threats,
-        archs=archs or ("gcn",),
-    )
+    try:
+        grid = ScenarioGrid(
+            datasets=tuple(args.dataset or ("cora",)),
+            attacks=tuple(args.attacks.split(",")),
+            defenses=tuple(args.defenses.split(",")),
+            budget_caps=tuple(int(b) for b in args.budgets.split(",")),
+            seeds=tuple(int(s) for s in args.seeds.split(",")),
+            threats=tuple(args.threats or ("white_box+oblivious",)),
+            archs=archs or ("gcn",),
+        )
+        validate_grid(grid)
+    except (KeyError, ValueError) as error:
+        raise SystemExit(f"error: {error.args[0]}")
     store = ResultStore(args.store)
     run = session.arena(grid, store, progress=print, fresh=args.fresh)
     print()

@@ -10,7 +10,6 @@ from repro.experiments.pipeline import (
     PreparedCase,
     Victim,
     derive_target_labels,
-    evaluate_attack_method,
     evaluate_feature_attack_method,
     prepare_case,
     select_victims,
@@ -33,16 +32,11 @@ from repro.experiments.sweeps import (
     PAPER_LAMBDA_GRID,
     PAPER_T_GRID,
     SweepPoint,
-    inner_steps_sweep,
-    lambda_sweep,
-    subgraph_size_sweep,
 )
 from repro.experiments.table_runner import (
     METHOD_ORDER,
     ComparisonResult,
     aggregate_runs,
-    paper_attacks,
-    run_comparison,
 )
 
 __all__ = [
@@ -53,7 +47,6 @@ __all__ = [
     "PreparedCase",
     "Victim",
     "derive_target_labels",
-    "evaluate_attack_method",
     "evaluate_feature_attack_method",
     "prepare_case",
     "select_victims",
@@ -70,12 +63,7 @@ __all__ = [
     "PAPER_LAMBDA_GRID",
     "PAPER_T_GRID",
     "SweepPoint",
-    "inner_steps_sweep",
-    "lambda_sweep",
-    "subgraph_size_sweep",
     "METHOD_ORDER",
     "ComparisonResult",
     "aggregate_runs",
-    "paper_attacks",
-    "run_comparison",
 ]

@@ -11,6 +11,12 @@ Implements the paper's protocol (Section 5.1):
 4. run an attack per victim with budget Δ = degree (evasion setting);
 5. explain the victim's prediction on the perturbed graph and compute the
    detection metrics over the adversarial edges.
+
+Steps 1–3 live here.  Steps 4–5 run in the façade's shared engine,
+:func:`repro.api.session.iter_method_events` (drained by
+:func:`repro.api.session.evaluate_method` and :meth:`repro.api.Session.run`);
+only the feature-space mirror, :func:`evaluate_feature_attack_method`,
+keeps its own loop here.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ __all__ = [
     "prepare_case",
     "select_victims",
     "derive_target_labels",
-    "evaluate_attack_method",
     "evaluate_feature_attack_method",
 ]
 
@@ -224,57 +229,6 @@ def derive_target_labels(case, victim_nodes):
     return victims
 
 
-def evaluate_attack_method(
-    case, attack, victims, explainer_factory, detection_k=None, jobs=1,
-    locality=True,
-):
-    """Attack every victim, inspect with the explainer, aggregate metrics.
-
-    Parameters
-    ----------
-    case:
-        A :class:`PreparedCase`.
-    attack:
-        An :class:`repro.attacks.Attack` instance (frozen model inside).
-    victims:
-        Output of :func:`derive_target_labels`.
-    explainer_factory:
-        ``callable(perturbed_graph) -> explainer`` whose ``explain_node``
-        inspects the perturbed graph (factory, because PGExplainer needs a
-        graph-level step while GNNExplainer does not).
-    detection_k:
-        Top-K cut-off (defaults to the config's K = 15).
-    jobs:
-        Victims are independent; fan them out over this many worker
-        processes.  Per-victim RNG streams are seeded by the victim's node
-        id, so any ``jobs`` value produces the identical result table.
-    locality:
-        Run each attack on the victim's extracted computation subgraph
-        when the attack supports it (the batched fast path).
-
-    Returns
-    -------
-    MethodEvaluation
-
-    Notes
-    -----
-    This is a compatibility forward: the attack→inspect loop lives in the
-    façade's shared engine (:func:`repro.api.session.iter_method_events`),
-    which also streams per-victim events for callers that want progress.
-    """
-    from repro.api.session import evaluate_method
-
-    return evaluate_method(
-        case,
-        attack,
-        victims,
-        explainer_factory,
-        detection_k=detection_k,
-        jobs=jobs,
-        locality=locality,
-    )
-
-
 class _TruncatedExplanation:
     """Adapter: a pre-truncated ranked edge list with the Explanation API."""
 
@@ -289,7 +243,7 @@ def evaluate_feature_attack_method(
     case, attack, victims, explainer_factory, detection_k=None, flip_budget=None,
     jobs=1, locality=True,
 ):
-    """Feature-space mirror of :func:`evaluate_attack_method`.
+    """Feature-space mirror of :func:`repro.api.session.evaluate_method`.
 
     The attack flips victim feature bits instead of adding edges; the
     inspector is an explainer with a feature mask
@@ -301,7 +255,7 @@ def evaluate_feature_attack_method(
     Δ = degree: one planted word moves a prediction far less than one edge,
     so feature attacks get a fixed budget (default: the config's
     ``budget_cap``) rather than the victim's degree.  ``jobs`` and
-    ``locality`` behave as in :func:`evaluate_attack_method`.
+    ``locality`` behave as in :func:`repro.api.session.evaluate_method`.
     """
     from repro.metrics import feature_detection_report
 
@@ -333,7 +287,7 @@ def evaluate_feature_attack_method(
             "misclassified": result.misclassified,
             **report,
         }
-        # See evaluate_attack_method: keep pool transfers graph-free.
+        # As in the edge engine: keep pool transfers graph-free.
         result.perturbed_graph = None
         return result, report, row
 

@@ -3,10 +3,18 @@
 Each sweep runs GEAttack over the victim set at a grid of one knob and
 reports the paper's metrics per grid point, reproducing the figure series.
 
-Execution lives in the façade: the three sweep functions forward to
-:func:`repro.api.session.sweep_points` (one shared attack→inspect engine,
+Execution lives in the façade: :meth:`repro.api.Session.sweep` for a
+session's own case, or :func:`repro.api.session.sweep_points` for a
+caller-supplied case and victims (one shared attack→inspect engine,
 streaming per-victim events, ``jobs``-aware).  This module keeps the
 result type (:class:`SweepPoint`) and the paper's search grids.
+
+The λ grid is interpreted on this implementation's λ scale (λ is coupled
+to the inner step size η, so only the *shape* of Fig. 4/8 is
+comparable).  The subgraph-size sweep runs GEAttack *once* per victim at
+the operating point and truncates the inspector's explanation to each L
+before the top-K metrics, so detection rises while L < K and plateaus
+once L ≥ K.
 """
 
 from __future__ import annotations
@@ -15,9 +23,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SweepPoint",
-    "lambda_sweep",
-    "inner_steps_sweep",
-    "subgraph_size_sweep",
     "PAPER_LAMBDA_GRID",
     "PAPER_T_GRID",
     "PAPER_L_GRID",
@@ -40,62 +45,3 @@ class SweepPoint:
     f1: float
     ndcg: float
     extras: dict = field(default_factory=dict)
-
-
-def lambda_sweep(
-    case, victims, lambdas=PAPER_LAMBDA_GRID, explainer_factory=None, jobs=1
-):
-    """Figure 4 / 8: trade-off between ASR-T and detectability over λ.
-
-    The grid is interpreted on this implementation's λ scale; see
-    EXPERIMENTS.md for the mapping to the paper's axis (λ is coupled to the
-    inner step size η, so only the *shape* is comparable).
-    """
-    from repro.api.session import sweep_points
-
-    return sweep_points(
-        case,
-        victims,
-        "lambda",
-        values=lambdas,
-        explainer_factory=explainer_factory,
-        jobs=jobs,
-    )
-
-
-def inner_steps_sweep(
-    case, victims, steps=PAPER_T_GRID, explainer_factory=None, jobs=1
-):
-    """Figure 6: GEAttack detectability as a function of inner steps T."""
-    from repro.api.session import sweep_points
-
-    return sweep_points(
-        case,
-        victims,
-        "inner-steps",
-        values=steps,
-        explainer_factory=explainer_factory,
-        jobs=jobs,
-    )
-
-
-def subgraph_size_sweep(
-    case, victims, sizes=PAPER_L_GRID, explainer_factory=None, jobs=1
-):
-    """Figure 5: detection vs the explanation subgraph size L.
-
-    GEAttack runs *once* per victim at the operating point; the inspector's
-    explanation is then truncated to each L before the top-K=15 metrics.
-    Detection rises while L < K and plateaus once L ≥ K — the paper's
-    "cannot keep increasing past ≈ 20" observation.
-    """
-    from repro.api.session import sweep_points
-
-    return sweep_points(
-        case,
-        victims,
-        "subgraph-size",
-        values=sizes,
-        explainer_factory=explainer_factory,
-        jobs=jobs,
-    )

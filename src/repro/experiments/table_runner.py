@@ -1,20 +1,19 @@
-"""Table 1 / Table 2 result types and the legacy ``run_comparison`` entry.
+"""Table 1 / Table 2 result types.
 
 Table 1 inspects with GNNExplainer on CITESEER / CORA / ACM; Table 2 swaps
 the inspector (and GEAttack's simulated explainer) for PGExplainer on
 CITESEER.  Aggregation is over ``config.num_seeds`` independent runs, as the
 paper reports 5-run averages with standard deviations.
 
-Execution lives in the façade: :func:`run_comparison` forwards to
-:meth:`repro.api.Session.table`, which builds every method from the
-self-describing attack registry and streams per-victim events.  This
-module keeps the result container (:class:`ComparisonResult`), the
-paper's column/metric ordering, and the aggregation helpers.
+Execution lives in the façade: :meth:`repro.api.Session.table` builds
+every method from the self-describing attack registry and streams
+per-victim events.  This module keeps the result container
+(:class:`ComparisonResult`), the paper's column/metric ordering, and the
+aggregation helpers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 __all__ = [
     "METHOD_ORDER",
     "ComparisonResult",
-    "paper_attacks",
-    "run_comparison",
     "aggregate_runs",
 ]
 
@@ -63,84 +60,6 @@ class ComparisonResult:
                 )
             summary[method] = metrics
         return summary
-
-
-def paper_attacks(case, pg_explainer=None):
-    """Deprecated: instantiate the seven attacks of Table 1.
-
-    .. deprecated::
-        Use :func:`repro.api.registry.build_attack` (or
-        ``AttackSpec.build``) per method — construction recipes now live
-        in the registry, generated from each attack's declared
-        ``config_params`` schema.  This shim forwards there, preserving
-        the historical list order and the Table-2 rename of the PG
-        variant.
-    """
-    warnings.warn(
-        "repro.experiments.table_runner.paper_attacks is deprecated; build "
-        "attacks through repro.api (registry.build_attack / AttackSpec.build)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.registry import build_attack
-
-    attacks = []
-    for name in METHOD_ORDER:
-        if name == "GEAttack" and pg_explainer is not None:
-            attack = build_attack(
-                "GEAttack-PG",
-                case,
-                case.config,
-                context=_ConstantPG(pg_explainer),
-            )
-            attack.name = "GEAttack"
-        else:
-            attack = build_attack(name, case, case.config)
-        attacks.append(attack)
-    return attacks
-
-
-class _ConstantPG:
-    """Minimal session-context shim around an already-fitted PGExplainer."""
-
-    def __init__(self, pg_explainer):
-        self._pg = pg_explainer
-
-    def pg_explainer(self, _case):
-        return self._pg
-
-
-def run_comparison(dataset, config, explainer="gnn", methods=None, jobs=1):
-    """Full Table 1 / Table 2 comparison on one dataset.
-
-    Forwards to the façade: equivalent to
-    ``Session(config=config, jobs=jobs).table(dataset, explainer,
-    methods)``.  See :class:`repro.api.Session` for the streaming event
-    interface this drains.
-
-    Parameters
-    ----------
-    dataset:
-        ``"citeseer"`` / ``"cora"`` / ``"acm"``.
-    config:
-        :class:`repro.experiments.ExperimentConfig`.
-    explainer:
-        ``"gnn"`` (Table 1) or ``"pg"`` (Table 2).
-    methods:
-        Optional subset of :data:`METHOD_ORDER` to run.
-    jobs:
-        Worker processes for the per-victim attack→inspect loop; any value
-        yields the identical table (per-victim seeding).
-
-    Returns
-    -------
-    ComparisonResult
-    """
-    from repro.api.session import Session
-
-    return Session(config=config, jobs=jobs).table(
-        dataset, explainer=explainer, methods=methods
-    )
 
 
 def aggregate_runs(runs, method, metric):

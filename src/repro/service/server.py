@@ -129,50 +129,6 @@ def _grid_from_payload(payload, config):
     raise _BadRequest('request body must contain "grid" or "scenario"')
 
 
-def _validate_grid(grid):
-    """The same axis-typo checks ``Session.run`` performs, at POST time.
-
-    Failing here turns a would-be failed job into an immediate 400 —
-    the submitter learns about the typo from the response, not from a
-    failed job's error field.
-    """
-    from repro.attacks import ATTACKS, EXTENSION_ATTACKS
-    from repro.defense import DEFENSES
-    from repro.nn import ARCHITECTURES
-
-    known_attacks = {**ATTACKS, **EXTENSION_ATTACKS}
-    for name in grid.attacks:
-        if name not in known_attacks:
-            raise _BadRequest(
-                f"unknown attack {name!r}; options: {sorted(known_attacks)}"
-            )
-    for name in grid.defenses:
-        if name not in DEFENSES:
-            raise _BadRequest(
-                f"unknown defense {name!r}; options: {sorted(DEFENSES)}"
-            )
-    for arch in getattr(grid, "archs", ("gcn",)):
-        if arch not in ARCHITECTURES:
-            raise _BadRequest(
-                f"unknown architecture {arch!r}; "
-                f"options: {sorted(ARCHITECTURES)}"
-            )
-    for threat in grid.threats:
-        if threat.is_adaptive and threat.defense not in DEFENSES:
-            raise _BadRequest(
-                f"unknown adapted defense {threat.defense!r}; "
-                f"options: {sorted(DEFENSES)}"
-            )
-        if (
-            threat.surrogate_arch is not None
-            and threat.surrogate_arch not in ARCHITECTURES
-        ):
-            raise _BadRequest(
-                f"unknown surrogate architecture "
-                f"{threat.surrogate_arch!r}; options: {sorted(ARCHITECTURES)}"
-            )
-
-
 class ArenaService:
     """One arena job server over one result store.
 
@@ -247,10 +203,18 @@ class ArenaService:
     # -- payload builders (shared by the handler) ----------------------------
     def submit_payload(self, payload):
         """Validate a ``POST /jobs`` body and queue the job."""
+        from repro.arena.grid import validate_grid
+
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
         grid = _grid_from_payload(payload, self.queue.config or _default_config())
-        _validate_grid(grid)
+        # The same axis-typo checks ``Session.run`` performs, at POST time:
+        # the submitter learns about a typo from an immediate 400, not from
+        # a failed job's error field.
+        try:
+            validate_grid(grid)
+        except KeyError as error:
+            raise _BadRequest(error.args[0]) from error
         options = {}
         if payload.get("fresh"):
             options["fresh"] = True

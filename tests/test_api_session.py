@@ -1,8 +1,8 @@
 """Session: one front door, streaming events, shared caches, exact results.
 
 The acceptance-level contract: the table runner, the sweeps and the arena
-all execute through ``Session.run`` — and do so with results identical to
-the legacy module-level entry points (which are now thin forwards).
+all execute through ``Session.run``, whose drains (``table``/``sweep``/
+``arena``) return exactly the ``RunCompleted`` result of the stream.
 """
 
 from dataclasses import replace
@@ -27,13 +27,9 @@ from repro.api.events import (
     VictimAttacked,
     VictimEvaluated,
 )
+from repro.api.session import sweep_points
 from repro.arena import ResultStore, ScenarioGrid, render_arena_matrices
-from repro.experiments import (
-    SCALE_PRESETS,
-    format_comparison_table,
-    lambda_sweep,
-    run_comparison,
-)
+from repro.experiments import SCALE_PRESETS, format_comparison_table
 
 #: Trimmed to seconds: tiny model, three victims, cheap explainer.
 CONFIG = replace(
@@ -73,11 +69,11 @@ class TestTableThroughSession:
         assert len(per_victim) == victims * len(METHODS)
         assert [e.index for e in per_victim[:victims]] == list(range(victims))
 
-    def test_result_matches_legacy_forward(self, table_events):
+    def test_table_drain_matches_stream(self, table_events, session):
         comparison = table_events[-1].result
-        legacy = run_comparison("cora", CONFIG, explainer="gnn", methods=METHODS)
-        assert format_comparison_table(comparison) == format_comparison_table(
-            legacy
+        drained = session.table("cora", explainer="gnn", methods=METHODS)
+        assert format_comparison_table(drained) == format_comparison_table(
+            comparison
         )
 
     def test_case_cache_shared(self, session):
@@ -115,7 +111,7 @@ class TestTableThroughSession:
 
 
 class TestSweepThroughSession:
-    def test_sweep_events_and_legacy_equality(self, session):
+    def test_sweep_events_match_module_drain(self, session):
         events = list(
             session.run(
                 SweepExperiment("lambda", dataset="cora", values=(0.0, 5.0))
@@ -126,8 +122,8 @@ class TestSweepThroughSession:
         assert isinstance(events[-1], RunCompleted)
         assert events[-1].result == [p.point for p in points]
         case, victims = session.prepared("cora")
-        legacy = lambda_sweep(case, victims, lambdas=(0.0, 5.0))
-        assert legacy == events[-1].result
+        drained = sweep_points(case, victims, "lambda", values=(0.0, 5.0))
+        assert drained == events[-1].result
 
     def test_subgraph_size_sweep_streams(self, session):
         points = session.sweep("subgraph-size", "cora", values=(5, 20))

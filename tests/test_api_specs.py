@@ -323,7 +323,8 @@ class TestArchAxisKeys:
 
     def test_pre_arch_store_resumes_with_zero_executed(self, tmp_path):
         """The acceptance criterion, end to end on a tiny grid."""
-        from repro.arena import ResultStore, ScenarioGrid, run_arena
+        from repro.api import Session
+        from repro.arena import ResultStore, ScenarioGrid
         from repro.experiments import ExperimentConfig
 
         config = ExperimentConfig(
@@ -338,25 +339,19 @@ class TestArchAxisKeys:
         axes = dict(
             attacks=("FGA",), defenses=("none",), budget_caps=(2,), seeds=(0,)
         )
+        session = Session(config)
         store = ResultStore(tmp_path / "store")
         # A grid that never mentions the arch axis — the pre-arch shape.
-        cold = run_arena(ScenarioGrid(**axes), store, config=config, jobs=1)
+        cold = session.arena(ScenarioGrid(**axes), store)
         assert cold.executed > 0
         # Resuming under an explicitly arch-aware grid stays warm…
-        warm = run_arena(
-            ScenarioGrid(archs=("gcn",), **axes), store, config=config, jobs=1
-        )
+        warm = session.arena(ScenarioGrid(archs=("gcn",), **axes), store)
         assert warm.stats_line() == (
             f"executed 0 attacks, {cold.executed} victim results served "
             "from the store"
         )
         # …and widening the axis executes only the new architecture's cells.
-        wider = run_arena(
-            ScenarioGrid(archs=("gcn", "sage"), **axes),
-            store,
-            config=config,
-            jobs=1,
-        )
+        wider = session.arena(ScenarioGrid(archs=("gcn", "sage"), **axes), store)
         assert wider.executed == cold.executed
         assert wider.loaded == cold.executed
 

@@ -28,13 +28,13 @@ import sys
 
 import pytest
 
+from repro.api import Session
 from repro.api.specs import ThreatModel
 from repro.arena import (
     ResultStore,
     ScenarioGrid,
     arena_matrix,
     render_arena_matrices,
-    run_arena,
 )
 from repro.experiments import ExperimentConfig
 
@@ -89,14 +89,9 @@ ARCH_GOLDEN_GRID = ScenarioGrid(
 )
 
 
-def run_golden_arena(store_root, jobs, cases=None):
-    run = run_arena(
-        GOLDEN_GRID,
-        ResultStore(store_root),
-        config=GOLDEN_CONFIG,
-        jobs=jobs,
-        cases=cases,
-    )
+def run_golden_arena(store_root, jobs, cases=None, grid=GOLDEN_GRID):
+    session = Session(GOLDEN_CONFIG, jobs=jobs, cases=cases)
+    run = session.arena(grid, ResultStore(store_root))
     return run, render_arena_matrices(run) + "\n"
 
 
@@ -163,14 +158,7 @@ def test_warm_resume_executes_zero_and_matches(serial, shared_cases):
 
 
 def run_arch_golden_arena(store_root, jobs, cases=None):
-    run = run_arena(
-        ARCH_GOLDEN_GRID,
-        ResultStore(store_root),
-        config=GOLDEN_CONFIG,
-        jobs=jobs,
-        cases=cases,
-    )
-    return run, render_arena_matrices(run) + "\n"
+    return run_golden_arena(store_root, jobs, cases, grid=ARCH_GOLDEN_GRID)
 
 
 @pytest.fixture(scope="module")

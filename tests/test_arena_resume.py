@@ -1,6 +1,6 @@
 """Arena resume semantics: kill the store mid-way, resume, match bytes.
 
-The ISSUE-level contract: after any interruption, ``run_arena`` against
+The resume contract: after any interruption, ``Session.arena`` against
 the same store re-executes *only* the missing victims and renders a matrix
 byte-identical to an uninterrupted run — at ``jobs=1`` and ``jobs=4``.
 
@@ -15,12 +15,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arena import (
-    ResultStore,
-    ScenarioGrid,
-    render_arena_matrices,
-    run_arena,
-)
+from repro.api import Session
+from repro.arena import ResultStore, ScenarioGrid, render_arena_matrices
 from repro.experiments import SCALE_PRESETS
 
 #: Trimmed to seconds: tiny model, three victims, cheap defenses.
@@ -52,10 +48,15 @@ def shared_cases():
 
 
 @pytest.fixture(scope="module")
-def cold(tmp_path_factory, shared_cases):
+def session(shared_cases):
+    return Session(CONFIG, cases=shared_cases)
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory, session):
     """One uninterrupted cold run: the reference store and matrix."""
     store = ResultStore(tmp_path_factory.mktemp("arena") / "store")
-    run = run_arena(GRID, store, config=CONFIG, cases=shared_cases)
+    run = session.arena(GRID, store)
     return store, run, render_arena_matrices(run)
 
 
@@ -65,23 +66,21 @@ class TestResume:
         assert run.executed > 0
         assert run.loaded == 0
 
-    def test_warm_run_executes_zero_attacks(self, cold, shared_cases):
+    def test_warm_run_executes_zero_attacks(self, cold, session):
         store, reference, text = cold
-        warm = run_arena(GRID, store, config=CONFIG, cases=shared_cases)
+        warm = session.arena(GRID, store)
         assert warm.executed == 0
         assert warm.loaded == reference.executed
         assert render_arena_matrices(warm) == text
 
-    def test_killed_store_resumes_exactly(
-        self, cold, shared_cases, tmp_path
-    ):
+    def test_killed_store_resumes_exactly(self, cold, session):
         """Delete half the records (a 'kill'), resume, match bytes."""
         store, reference, text = cold
         keys = sorted(store.keys())
         killed = keys[: len(keys) // 2]
         for key in killed:
             store.path(key).unlink()
-        resumed = run_arena(GRID, store, config=CONFIG, cases=shared_cases)
+        resumed = session.arena(GRID, store)
         assert resumed.executed == len(killed)
         assert resumed.loaded == len(keys) - len(killed)
         assert render_arena_matrices(resumed) == text
@@ -92,12 +91,8 @@ class TestResume:
     ):
         """A from-scratch run at any pool width reproduces the matrix."""
         _, reference, text = cold
-        run = run_arena(
-            GRID,
-            ResultStore(tmp_path / f"store-{jobs}"),
-            config=CONFIG,
-            jobs=jobs,
-            cases=shared_cases,
+        run = Session(CONFIG, jobs=jobs, cases=shared_cases).arena(
+            GRID, ResultStore(tmp_path / f"store-{jobs}")
         )
         assert run.executed == reference.executed
         assert render_arena_matrices(run) == text
@@ -111,18 +106,13 @@ class TestResume:
 
     def test_axis_typos_fail_before_any_compute(self, tmp_path):
         """Unknown attack/defense names raise upfront, not mid-sweep."""
+        session = Session(CONFIG)
         with pytest.raises(KeyError, match="unknown attack"):
-            run_arena(
-                replace_grid(attacks=("FGA-X",)), tmp_path / "s", config=CONFIG
-            )
+            session.arena(replace_grid(attacks=("FGA-X",)), tmp_path / "s")
         with pytest.raises(KeyError, match="unknown defense"):
-            run_arena(
-                replace_grid(defenses=("jacard",)), tmp_path / "s", config=CONFIG
-            )
+            session.arena(replace_grid(defenses=("jacard",)), tmp_path / "s")
 
-    def test_truncated_record_quarantined_and_reexecuted(
-        self, cold, shared_cases
-    ):
+    def test_truncated_record_quarantined_and_reexecuted(self, cold, session):
         """A record torn mid-store is a cache miss, not a dead sweep.
 
         Truncate one stored record (simulating a writer killed between
@@ -136,7 +126,7 @@ class TestResume:
         path = store.path(key)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        resumed = run_arena(GRID, store, config=CONFIG, cases=shared_cases)
+        resumed = session.arena(GRID, store)
         assert resumed.executed == 1
         assert resumed.loaded == reference.executed - 1
         assert render_arena_matrices(resumed) == text
@@ -146,11 +136,9 @@ class TestResume:
         assert store.path(key).read_bytes() == data
         corrupt.unlink()  # leave the store whole for sibling tests
 
-    def test_progress_reports_cache_state(self, cold, shared_cases):
+    def test_progress_reports_cache_state(self, cold, session):
         store, reference, _ = cold
         lines = []
-        run_arena(
-            GRID, store, config=CONFIG, cases=shared_cases, progress=lines.append
-        )
+        session.arena(GRID, store, progress=lines.append)
         assert len(lines) == GRID.num_cells
         assert all("0 executed" in line for line in lines)

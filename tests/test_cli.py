@@ -101,6 +101,7 @@ class TestParser:
             # 'x8' parses as an arch token; it dies at registry validation.
             ("surrogate:x8", "unknown surrogate architecture 'x8'"),
             ("surrogate:8x", "bad surrogate token '8x'"),
+            ("adaptive:bogus", "unknown adapted defense 'bogus'"),
         ],
     )
     def test_arena_bad_threat_exits_cleanly(self, token, fragment, tmp_path):
@@ -119,6 +120,24 @@ class TestParser:
         assert message.startswith("error: ")
         assert fragment in message
         # Nothing ran: the store directory was never created.
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--attacks", "FGA-X", "unknown attack 'FGA-X'"),
+            ("--defenses", "bogus", "unknown defense 'bogus'"),
+        ],
+    )
+    def test_arena_unknown_registry_name_exits_cleanly(
+        self, flag, value, fragment, tmp_path
+    ):
+        """Attack and defense typos follow the --archs convention."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["arena", "--store", str(tmp_path / "store"), flag, value])
+        message = str(excinfo.value)
+        assert message.startswith("error: ")
+        assert fragment in message
         assert not (tmp_path / "store").exists()
 
     def test_arena_fresh_and_resume_are_mutually_exclusive(self, tmp_path):

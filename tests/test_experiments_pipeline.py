@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api.session import evaluate_method
 from repro.experiments import (
     ExperimentConfig,
     SCALE_PRESETS,
     config_from_env,
     derive_target_labels,
-    evaluate_attack_method,
     prepare_case,
     select_victims,
 )
@@ -112,7 +112,7 @@ class TestEvaluation:
         from repro.explain import GNNExplainer
 
         attack = RandomAttack(case.model, seed=0)
-        evaluation = evaluate_attack_method(
+        evaluation = evaluate_method(
             case,
             attack,
             victims,
@@ -129,7 +129,7 @@ class TestEvaluation:
         from repro.attacks import RandomAttack
         from repro.explain import GNNExplainer
 
-        evaluation = evaluate_attack_method(
+        evaluation = evaluate_method(
             case,
             RandomAttack(case.model, seed=0),
             victims,

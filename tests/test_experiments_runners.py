@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.api.session import sweep_points
 from repro.experiments import (
     METHOD_ORDER,
     SCALE_PRESETS,
@@ -11,14 +13,10 @@ from repro.experiments import (
     format_mean_std,
     format_series,
     format_table,
-    inner_steps_sweep,
-    lambda_sweep,
     prepare_case,
     preliminary_inspection_study,
-    run_comparison,
     select_victims,
     derive_target_labels,
-    subgraph_size_sweep,
 )
 from repro.explain import GNNExplainer
 
@@ -40,8 +38,8 @@ def victims(case):
 
 class TestComparison:
     def test_subset_run(self, case):
-        comparison = run_comparison(
-            "citeseer", SMOKE, explainer="gnn", methods=["RNA", "FGA-T"]
+        comparison = Session(SMOKE).table(
+            "citeseer", explainer="gnn", methods=["RNA", "FGA-T"]
         )
         assert comparison.runs, "comparison produced no runs"
         run = comparison.runs[0]
@@ -83,17 +81,19 @@ class TestPreliminary:
 
 class TestSweeps:
     def test_lambda_sweep_points(self, case, victims):
-        points = lambda_sweep(case, victims[:2], lambdas=(0.0, 50.0))
+        points = sweep_points(case, victims[:2], "lambda", values=(0.0, 50.0))
         assert len(points) == 2
         assert points[0].value == 0.0
         assert 0.0 <= points[0].asr_t <= 1.0
 
     def test_inner_steps_sweep(self, case, victims):
-        points = inner_steps_sweep(case, victims[:2], steps=(1, 2))
+        points = sweep_points(case, victims[:2], "inner-steps", values=(1, 2))
         assert [p.value for p in points] == [1.0, 2.0]
 
     def test_subgraph_size_truncation_monotone(self, case, victims):
-        points = subgraph_size_sweep(case, victims[:2], sizes=(5, 20, 60))
+        points = sweep_points(
+            case, victims[:2], "subgraph-size", values=(5, 20, 60)
+        )
         recalls = [p.recall for p in points if not np.isnan(p.recall)]
         if len(recalls) == 3:
             # Larger explanation can only expose more adversarial edges.

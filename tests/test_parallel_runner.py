@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.session import evaluate_method
 from repro.attacks import FGA, FGATargeted, VictimSpec
-from repro.experiments import ExperimentConfig, evaluate_attack_method
+from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import Victim
 from repro.explain import GNNExplainer
 from repro.parallel import fork_available, parallel_map
@@ -60,7 +61,7 @@ class TestParallelMap:
 
 
 class _MiniCase:
-    """The slice of PreparedCase that evaluate_attack_method consumes."""
+    """The slice of PreparedCase that evaluate_method consumes."""
 
     def __init__(self, graph, model, config):
         self.graph = graph
@@ -108,9 +109,7 @@ class TestEvaluationDeterminism:
         factory = lambda _graph: GNNExplainer(
             mini_case.model, epochs=8, lr=0.05, seed=41
         )
-        return evaluate_attack_method(
-            mini_case, attack, victims, factory, jobs=jobs
-        )
+        return evaluate_method(mini_case, attack, victims, factory, jobs=jobs)
 
     def test_jobs_one_vs_four_byte_identical(self, mini_case, runner_victims):
         if not fork_available():

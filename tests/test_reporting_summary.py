@@ -43,8 +43,9 @@ class TestSummarizeReports:
 
     def test_matches_pipeline_aggregation(self, tiny_graph, trained_model):
         """The helper is the single aggregation rule of MethodEvaluation."""
+        from repro.api.session import evaluate_method
         from repro.attacks import RandomAttack
-        from repro.experiments import ExperimentConfig, evaluate_attack_method
+        from repro.experiments import ExperimentConfig
         from repro.experiments.pipeline import Victim
         from repro.explain import GNNExplainer
 
@@ -54,7 +55,7 @@ class TestSummarizeReports:
             config = ExperimentConfig(budget_cap=2, explainer_epochs=5)
 
         victims = [Victim(node=0, degree=2, target_label=1)]
-        evaluation = evaluate_attack_method(
+        evaluation = evaluate_method(
             Case(),
             RandomAttack(trained_model, seed=0),
             victims,

@@ -196,6 +196,13 @@ class TestEndpoints:
         assert err.value.status == 400
         assert "unknown surrogate architecture 'bogus'" in str(err.value)
 
+    def test_unknown_adapted_defense_rejected_at_post(self, service):
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as err:
+            client.submit(grid={"threats": ["adaptive:bogus"]})
+        assert err.value.status == 400
+        assert "unknown adapted defense 'bogus'" in str(err.value)
+
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError) as err:

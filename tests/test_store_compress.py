@@ -16,7 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arena import ResultStore, ScenarioGrid, run_arena
+from repro.api import Session
+from repro.arena import ResultStore, ScenarioGrid
 from repro.arena.grid import canonical_json
 from repro.experiments import SCALE_PRESETS
 
@@ -149,9 +150,9 @@ class TestArenaResumeAcrossCompression:
         self, tmp_path, monkeypatch
     ):
         """Half plain + half gzip records resume as one warm store."""
-        cases = {}
+        session = Session(CONFIG, cases={})
         root = tmp_path / "store"
-        cold = run_arena(GRID, ResultStore(root), config=CONFIG, cases=cases)
+        cold = session.arena(GRID, ResultStore(root))
         assert cold.executed > 0
 
         # Drop half the records and re-execute them compressed.
@@ -162,7 +163,7 @@ class TestArenaResumeAcrossCompression:
             store.path(key).unlink()
             store._drop(key)
         monkeypatch.setenv("REPRO_STORE_COMPRESS", "1")
-        repaired = run_arena(GRID, ResultStore(root), config=CONFIG, cases=cases)
+        repaired = session.arena(GRID, ResultStore(root))
         assert repaired.executed == len(half)
         monkeypatch.delenv("REPRO_STORE_COMPRESS")
 
@@ -172,7 +173,7 @@ class TestArenaResumeAcrossCompression:
         }
         assert kinds == {True, False}  # genuinely mixed on disk
 
-        warm = run_arena(GRID, ResultStore(root), config=CONFIG, cases=cases)
+        warm = session.arena(GRID, ResultStore(root))
         assert warm.executed == 0
         assert warm.loaded == cold.executed
         assert "executed 0 attacks" in warm.stats_line()

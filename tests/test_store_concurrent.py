@@ -1,7 +1,7 @@
 """Concurrent writers: N processes, one store, each cell exactly once.
 
 The multi-writer contract behind arena-as-a-service (ROADMAP open item 2):
-advisory per-cell leases let concurrent ``run_arena`` calls share a store
+advisory per-cell leases let concurrent ``Session.arena`` calls share a store
 and split overlapping grids — a cell's lease winner executes it, losers
 re-poll the store and load the winner's results.  Tested here end-to-end
 with two forked processes over overlapping ``ScenarioGrid``s, plus direct
@@ -14,12 +14,12 @@ import multiprocessing
 import time
 from dataclasses import replace
 
+from repro.api import Session
 from repro.arena import (
     ResultStore,
     ScenarioGrid,
     content_key,
     render_arena_matrices,
-    run_arena,
 )
 from repro.experiments import SCALE_PRESETS
 
@@ -131,7 +131,7 @@ def test_racing_writers_never_tear_records(tmp_path):
 
 
 def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
-    """Two forked ``run_arena`` calls over overlapping grids, one store.
+    """Two forked ``Session.arena`` calls over overlapping grids, one store.
 
     Accepts exactly the ISSUE contract: the union of work executes once
     (summed execution counters equal a serial run's), no torn or
@@ -140,11 +140,10 @@ def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
     """
     cases = {}
     ref_store = ResultStore(tmp_path / "reference")
-    reference = run_arena(UNION_GRID, ref_store, config=CONFIG, cases=cases)
+    session = Session(CONFIG, cases=cases)
+    reference = session.arena(UNION_GRID, ref_store)
     reference_text = render_arena_matrices(reference)
-    subset_text = render_arena_matrices(
-        run_arena(SUBSET_GRID, ref_store, config=CONFIG, cases=cases)
-    )
+    subset_text = render_arena_matrices(session.arena(SUBSET_GRID, ref_store))
 
     shared_root = tmp_path / "shared"
     ctx = multiprocessing.get_context("fork")
@@ -155,12 +154,8 @@ def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
         # Forked children inherit the parent's trained cases via COW, so
         # both runs reach attack execution (the contended phase) fast.
         barrier.wait()
-        run = run_arena(
-            grid,
-            ResultStore(shared_root),
-            config=CONFIG,
-            cases=dict(cases),
-            poll_interval=0.05,
+        run = Session(CONFIG, cases=dict(cases)).arena(
+            grid, ResultStore(shared_root), poll_interval=0.05
         )
         queue.put((tag, run.executed, run.loaded, render_arena_matrices(run)))
 
@@ -197,7 +192,7 @@ def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
     assert list(shared_root.rglob("*.corrupt")) == []
 
     # The merged store resumes with zero execution at full width.
-    warm = run_arena(UNION_GRID, merged, config=CONFIG, cases=cases)
+    warm = session.arena(UNION_GRID, merged)
     assert warm.executed == 0
     assert warm.loaded == reference.executed
     assert render_arena_matrices(warm) == reference_text

@@ -17,12 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.arena import (
-    ResultStore,
-    ScenarioGrid,
-    render_arena_matrices,
-    run_arena,
-)
+from repro.api import Session
+from repro.arena import ResultStore, ScenarioGrid, render_arena_matrices
 from repro.experiments import SCALE_PRESETS
 
 FIXTURE = Path(__file__).parent / "data" / "v1_store"
@@ -46,15 +42,16 @@ GRID = ScenarioGrid(
 
 
 @pytest.fixture(scope="module")
-def shared_cases():
-    return {}
+def session():
+    """One session for the module, so its trained cases are shared."""
+    return Session(CONFIG)
 
 
 @pytest.fixture(scope="module")
-def cold(tmp_path_factory, shared_cases):
+def cold(tmp_path_factory, session):
     """A fresh cold run: the byte-level reference the fixture must match."""
     store = ResultStore(tmp_path_factory.mktemp("migration") / "cold")
-    run = run_arena(GRID, store, config=CONFIG, cases=shared_cases)
+    run = session.arena(GRID, store)
     return store, run, render_arena_matrices(run)
 
 
@@ -77,11 +74,9 @@ def test_fixture_is_a_pure_v1_layout():
     assert all(p.parent.name == p.name[:2] for p in records)
 
 
-def test_v1_store_resumes_with_zero_executed(cold, shared_cases, v1_store):
+def test_v1_store_resumes_with_zero_executed(cold, session, v1_store):
     _, reference, text = cold
-    run = run_arena(
-        GRID, ResultStore(v1_store), config=CONFIG, cases=shared_cases
-    )
+    run = session.arena(GRID, ResultStore(v1_store))
     assert run.executed == 0
     assert run.loaded == reference.executed
     assert "executed 0 attacks" in run.stats_line()
@@ -128,7 +123,7 @@ def test_migration_builds_manifest_and_keeps_records_untouched(
             )
 
 
-def test_migrated_store_is_a_full_v2_citizen(cold, shared_cases, v1_store):
+def test_migrated_store_is_a_full_v2_citizen(cold, session, v1_store):
     """Post-migration stores support the whole v2 surface: O(1) reopen,
     corruption quarantine, and further resumable writes."""
     _, reference, text = cold
@@ -140,9 +135,7 @@ def test_migrated_store_is_a_full_v2_citizen(cold, shared_cases, v1_store):
     # Kill one record; the resume heals it and still matches bytes.
     victim_key = keys[0]
     reopened.path(victim_key).unlink()
-    healed = run_arena(
-        GRID, ResultStore(v1_store), config=CONFIG, cases=shared_cases
-    )
+    healed = session.arena(GRID, ResultStore(v1_store))
     assert healed.executed == 1
     assert healed.loaded == reference.executed - 1
     assert render_arena_matrices(healed) == text

@@ -2,7 +2,7 @@
 
 Two contracts in one test file:
 
-* **Parallel determinism** — ``run_comparison(..., jobs=1)`` and
+* **Parallel determinism** — ``Session(..., jobs=1).table(...)`` and
   ``jobs=4`` must render the *byte-identical* table (per-victim seeding is
   the engine's determinism guarantee; see ``repro/parallel.py``).
 * **Regression snapshot** — the rendered table must equal the committed
@@ -23,7 +23,8 @@ import sys
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_comparison
+from repro.api import Session
+from repro.experiments import ExperimentConfig
 from repro.experiments.reporting import format_comparison_table
 
 GOLDEN_PATH = os.path.join(
@@ -51,8 +52,8 @@ GOLDEN_METHODS = ["RNA", "FGA-T", "GEAttack"]
 
 
 def render_golden_table(jobs):
-    comparison = run_comparison(
-        "cora", GOLDEN_CONFIG, explainer="gnn", methods=GOLDEN_METHODS, jobs=jobs
+    comparison = Session(GOLDEN_CONFIG, jobs=jobs).table(
+        "cora", explainer="gnn", methods=GOLDEN_METHODS
     )
     return (
         format_comparison_table(comparison, method_order=GOLDEN_METHODS) + "\n"
