@@ -29,7 +29,9 @@ import pytest
 from repro.api.registry import build_attack, build_defense
 from repro.api.session import Session
 from repro.api.specs import ThreatModel
+from repro.arena.grid import ScenarioGrid, validate_grid
 from repro.attacks import ATTACKS, EXTENSION_ATTACKS, AttackResult, VictimSpec
+from repro.defense import DEFENSES
 from repro.nn import ARCHITECTURES
 from repro.threat import (
     SURROGATE_SEED_OFFSET,
@@ -388,3 +390,46 @@ class TestParseErrors:
         assert ThreatModel.parse("surrogate:h8+adaptive:jaccard").defense == (
             "jaccard"
         )
+
+
+class TestValidateGrid:
+    """validate_grid names the first unknown registry entry on any axis."""
+
+    def test_every_registered_name_passes(self):
+        grid = ScenarioGrid(
+            attacks=tuple(REGISTRY),
+            defenses=tuple(sorted(DEFENSES)),
+            archs=tuple(sorted(ARCHITECTURES)),
+            threats=(
+                "white_box",
+                "surrogate:gat",
+                *(f"adaptive:{name}" for name in sorted(DEFENSES)),
+            ),
+        )
+        assert validate_grid(grid) is None
+
+    @pytest.mark.parametrize(
+        "axes, fragment",
+        [
+            ({"attacks": ("FGA-T", "FGA-X")}, "unknown attack 'FGA-X'"),
+            ({"defenses": ("none", "bogus")}, "unknown defense 'bogus'"),
+            ({"archs": ("gcn", "mlp")}, "unknown architecture 'mlp'"),
+            (
+                {"threats": ("adaptive:bogus",)},
+                "unknown adapted defense 'bogus'",
+            ),
+            (
+                {"threats": ("surrogate:x8",)},
+                "unknown surrogate architecture 'x8'",
+            ),
+        ],
+    )
+    def test_unknown_name_raises_key_error(self, axes, fragment):
+        with pytest.raises(KeyError, match=fragment):
+            validate_grid(ScenarioGrid(**axes))
+
+    def test_first_unknown_axis_wins(self):
+        # Attacks are checked before defenses: one grid, one message.
+        grid = ScenarioGrid(attacks=("FGA-X",), defenses=("bogus",))
+        with pytest.raises(KeyError, match="unknown attack 'FGA-X'"):
+            validate_grid(grid)
