@@ -20,7 +20,6 @@ timings with spread live in ``perfbench/``; this test writes no file.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -29,18 +28,12 @@ import pytest
 
 from repro.attacks import FGATExplainerEvasion, GEAttack, GEAttackPG, IGAttack
 from repro.attacks import ATTACKS
-from repro.autodiff.backend import get_backend
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.datasets import load_dataset, random_split
 from repro.explain import PGExplainer
 from repro.graph import normalize_adjacency, reset_graph_cache
 from repro.nn import GCN, train_node_classifier
 from repro.obs import metrics
-
-FULL_SCALE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_full_scale.json",
-)
 
 NUM_VICTIMS = 20
 #: The explainer-in-the-loop attacks run a smaller victim set: their inner
@@ -153,7 +146,7 @@ def test_bench_attack_throughput():
         # vs batched subgraph), so pin the dense backend: under
         # REPRO_BACKEND=sparse the serial path gets so fast that the
         # locality speedup threshold no longer means anything.
-        attack.backend = get_backend("dense")
+        attack.sparse = False
         rows[name] = _bench_one(attack, graph, victim_set)
 
     flagship = GEAttack(model, seed=21, inner_steps=3)
@@ -195,11 +188,14 @@ def test_bench_attack_throughput():
 
 
 # ---------------------------------------------------------------------------
-# Full-scale dense vs sparse backend (REPRO_SCALE=full only)
+# Full-scale dense vs sparse backend, with and without locality
+# (REPRO_SCALE=full only)
 # ---------------------------------------------------------------------------
 
-#: Workloads for the full-scale backend comparison.  Full-graph execution
-#: (no locality) so the backend carries the whole n × n vs O(nnz) delta.
+#: Workloads for the full-scale backend comparison.  The thresholded
+#: columns run full-graph (no locality) so the backend carries the whole
+#: n × n vs O(nnz) delta; the locality columns (``attack_one``, dense by
+#: default and sparse) complete the backend × locality 2×2.
 FULL_SCALE_WORKLOADS = (
     ("FGA-T", {}),
     ("IG-Attack", {"steps": 5}),
@@ -207,6 +203,15 @@ FULL_SCALE_WORKLOADS = (
 )
 FULL_SCALE_VICTIMS = 3
 FULL_SCALE_MIN_SPEEDUP = 2.0
+
+#: (column, sparse kernels, locality engine).  ``dense+locality`` is the
+#: default execution path (``attack_one`` with the env var unset).
+FULL_SCALE_PATHS = (
+    ("dense", False, False),
+    ("sparse", True, False),
+    ("dense+locality", False, True),
+    ("sparse+locality", True, True),
+)
 
 
 def _prepare_full_scale():
@@ -246,36 +251,46 @@ def _prepare_full_scale():
 
 
 def _bench_backends(name, kwargs, graph, model, victims):
-    """Dense vs sparse wall-clock of one attack over the victim set."""
+    """Wall-clock of one attack over the victim set on every execution path."""
     timings = {}
     results = {}
-    for backend in ("dense", "sparse"):
+    for column, sparse, locality in FULL_SCALE_PATHS:
         attack = ATTACKS[name](model, seed=21, **kwargs)
-        attack.backend = get_backend(backend)
+        attack.sparse = sparse
         reset_graph_cache()
         start = time.perf_counter()
-        results[backend] = [
-            attack.attack(graph, node, label, budget)
-            for node, label, budget in victims
-        ]
-        timings[backend] = time.perf_counter() - start
+        if locality:
+            results[column] = [
+                attack.attack_one(graph, victim) for victim in victims
+            ]
+        else:
+            results[column] = [
+                attack.attack(graph, node, label, budget)
+                for node, label, budget in victims
+            ]
+        timings[column] = time.perf_counter() - start
+    reference = results["dense"]
     return {
-        "num_victims": len(victims),
-        "budget_per_victim": 1,
-        "dense_seconds": round(timings["dense"], 3),
-        "sparse_seconds": round(timings["sparse"], 3),
+        "seconds": {column: round(t, 3) for column, t in timings.items()},
         "speedup": round(timings["dense"] / timings["sparse"], 2),
-        "asr_dense": _attack_success(results["dense"]),
-        "asr_sparse": _attack_success(results["sparse"]),
-        "edges_identical": all(
-            one.added_edges == two.added_edges
-            for one, two in zip(results["dense"], results["sparse"])
-        ),
+        "asr": {column: _attack_success(r) for column, r in results.items()},
+        "edges_identical": {
+            column: all(
+                one.added_edges == two.added_edges
+                for one, two in zip(reference, outcome)
+            )
+            for column, outcome in results.items()
+        },
     }
 
 
 def test_bench_full_scale():
-    """Dense vs sparse backend at REPRO_SCALE=full, recorded + thresholded."""
+    """Backend × locality at REPRO_SCALE=full: printed, sparse thresholded.
+
+    Every path must reproduce the dense full-graph edge sets and ASR, and
+    the sparse kernels must beat dense full-graph execution by at least
+    ``FULL_SCALE_MIN_SPEEDUP`` on one workload.  Writes no file.
+    """
     if os.environ.get("REPRO_SCALE") != "full":
         pytest.skip("full-scale backend benchmark runs only at REPRO_SCALE=full")
     graph, model, victims = _prepare_full_scale()
@@ -285,24 +300,25 @@ def test_bench_full_scale():
     for name, kwargs in FULL_SCALE_WORKLOADS:
         rows[name] = _bench_backends(name, kwargs, graph, model, victims)
 
-    record = {
-        "dataset": "cora-like (scale=1.0, seed=7)",
-        "graph_nodes": int(graph.num_nodes),
-        "graph_edges": int(graph.num_edges),
-        "min_speedup": FULL_SCALE_MIN_SPEEDUP,
-        "attacks": rows,
-    }
-    with open(FULL_SCALE_PATH, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    print()
+    print(
+        f"cora-like (scale=1.0, seed=7) n={graph.num_nodes}, "
+        f"{graph.num_edges} edges, {len(victims)} victims, budget 1"
+    )
+    for name, row in rows.items():
+        columns = ", ".join(
+            f"{column} {seconds:.2f}s" for column, seconds in row["seconds"].items()
+        )
+        print(f"{name}: {columns}; sparse vs dense {row['speedup']:.2f}x")
 
     for name, row in rows.items():
-        assert row["edges_identical"], (
-            f"{name}: sparse backend must reproduce the dense edge sets"
-        )
-        assert row["asr_sparse"] == row["asr_dense"], (
-            f"{name}: sparse ASR must match dense"
-        )
+        for column, identical in row["edges_identical"].items():
+            assert identical, (
+                f"{name}: {column} must reproduce the dense edge sets"
+            )
+            assert row["asr"][column] == row["asr"]["dense"], (
+                f"{name}: {column} ASR must match dense"
+            )
     best = max(row["speedup"] for row in rows.values())
     assert best >= FULL_SCALE_MIN_SPEEDUP, (
         f"sparse backend best speedup only {best:.2f}x "

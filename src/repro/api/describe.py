@@ -105,15 +105,13 @@ def _backend_lines():
     execution detail (never part of results or store keys), and the JSON
     top-level shape is a compatibility contract.
     """
-    from repro.autodiff.backend import get_backend
+    from repro.attacks.base import backend_from_env
 
-    backend = get_backend()
     title = "Compute backend"
     return [
         title,
         "=" * len(title),
-        f"active: {backend.name}"
-        "  (select with REPRO_BACKEND=dense|sparse or Session(backend=...))",
+        f"active: {backend_from_env()}  (select with REPRO_BACKEND=dense|sparse)",
         "dense: dense adjacency tensors (default; the historical path)",
         "sparse: CSR adjacency with fused scatter kernels"
         " (FGA, FGA-T, Nettack, IG-Attack, GEAttack)",

@@ -95,9 +95,7 @@ def attack_params(name, config):
     return attack_class(name).spec_params(config)
 
 
-def build_attack(
-    spec, case, config=None, context=None, seed=None, threat=None, backend=None
-):
+def build_attack(spec, case, config=None, context=None, seed=None, threat=None):
     """Instantiate an attack from a spec (or name) for a prepared case.
 
     ``context`` is any object with the :class:`repro.api.Session` cache
@@ -112,18 +110,16 @@ def build_attack(
     PGExplainer — is built against an independently trained surrogate of
     ``case`` instead of the victim model itself.
 
-    ``backend`` selects the compute backend (dense / sparse CSR); it
-    defaults to the case's threaded backend, then ``REPRO_BACKEND``.  The
-    backend is an execution detail — results are identical by the
-    differential contract — so it never enters specs or store keys.
+    The compute backend is not a parameter: ``REPRO_BACKEND`` sets the
+    attack's ``sparse`` flag at construction (see
+    :class:`repro.attacks.base.Attack`).  It never enters specs or store
+    keys.  Dense and sparse runs agree on edge sets, ASR and rendered
+    matrices, but score-trace floats — and so stored record bytes — can
+    differ in the last ulp.
     """
-    from repro.attacks.base import resolve_attack_backend
-
     config = case.config if config is None else config
     if isinstance(spec, str):
         spec = attack_spec(spec, config)
-    if backend is None:
-        backend = getattr(case, "backend", None)
     if threat is not None:
         case = attacker_case(case, threat, context=context)
     cls = attack_class(spec.name)
@@ -134,9 +130,7 @@ def build_attack(
             if context is not None
             else fit_pg_explainer(case, config)
         )
-    attack = cls.from_spec(case, spec, dependencies=dependencies, seed=seed)
-    attack.backend = resolve_attack_backend(case.model, backend)
-    return attack
+    return cls.from_spec(case, spec, dependencies=dependencies, seed=seed)
 
 
 def attacker_case(case, threat, context=None):

@@ -116,7 +116,6 @@ def iter_method_events(
     victims,
     explainer_factory,
     jobs=1,
-    locality=True,
     keep_ranking=False,
     eval_spec=None,
 ):
@@ -144,9 +143,7 @@ def iter_method_events(
     def evaluate_one(victim):
         budget = min(victim.budget, config.budget_cap)
         result = attack.attack_one(
-            case.graph,
-            VictimSpec(victim.node, victim.target_label, budget),
-            locality=locality,
+            case.graph, VictimSpec(victim.node, victim.target_label, budget)
         )
         ranking = None
         if result.added_edges:
@@ -222,24 +219,12 @@ def iter_method_events(
 
 
 def evaluate_method(
-    case,
-    attack,
-    victims,
-    explainer_factory,
-    jobs=1,
-    locality=True,
-    eval_spec=None,
+    case, attack, victims, explainer_factory, jobs=1, eval_spec=None
 ):
     """Drain :func:`iter_method_events` to its final MethodEvaluation."""
     evaluation = None
     for event in iter_method_events(
-        case,
-        attack,
-        victims,
-        explainer_factory,
-        jobs=jobs,
-        locality=locality,
-        eval_spec=eval_spec,
+        case, attack, victims, explainer_factory, jobs=jobs, eval_spec=eval_spec
     ):
         if isinstance(event, MethodEvaluated):
             evaluation = event.evaluation
@@ -377,22 +362,18 @@ class Session:
         Optional mutable dict to share prepared cases (trained models,
         derived victims, fitted PGExplainers) across sessions in one
         process — the resume tests and benchmarks reuse models this way.
-    backend:
-        Compute backend for attack execution (``"dense"``/``"sparse"`` or
-        a :class:`repro.autodiff.Backend`); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then dense.  Purely an
-        execution detail: results, store keys and golden bytes are
-        backend-independent (the differential harness enforces this), so
-        the backend is *not* part of the prepared-case memo key — a
-        ``cases`` dict may be shared across sessions with different
-        backends.
+
+    The compute backend is chosen by ``REPRO_BACKEND`` alone, when each
+    attack is built (see :class:`repro.attacks.base.Attack`), so it is
+    not part of the prepared-case memo key.  Dense and sparse runs agree
+    on edge sets, ASR and rendered matrices; score-trace floats, and so
+    newly written store records, can differ in the last ulp.
     """
 
-    def __init__(self, config=None, jobs=1, cases=None, backend=None):
+    def __init__(self, config=None, jobs=1, cases=None):
         self.config = SCALE_PRESETS["smoke"] if config is None else config
         self.jobs = max(1, int(jobs))
         self._memo = {} if cases is None else cases
-        self.backend = backend
 
     # -- caches --------------------------------------------------------------
     def prepared(self, dataset, seed=None, hidden=None, arch=None):
@@ -412,9 +393,7 @@ class Session:
         config = replace(self.config, hidden=hidden)
         key = (dataset, hidden, seed, arch, config)
         if key not in self._memo:
-            case = prepare_case(
-                dataset, config, seed=seed, backend=self.backend, arch=arch
-            )
+            case = prepare_case(dataset, config, seed=seed, arch=arch)
             victims = derive_target_labels(case, select_victims(case))
             self._memo[key] = (case, victims)
         return self._memo[key]
@@ -515,10 +494,7 @@ class Session:
                 result = event.result
         return result
 
-    def evaluate(
-        self, case, attack, victims, explainer_factory, locality=True,
-        eval_spec=None,
-    ):
+    def evaluate(self, case, attack, victims, explainer_factory, eval_spec=None):
         """One method over one victim set (the pipeline's primitive)."""
         return evaluate_method(
             case,
@@ -526,7 +502,6 @@ class Session:
             victims,
             explainer_factory,
             jobs=self.jobs,
-            locality=locality,
             eval_spec=eval_spec,
         )
 
@@ -546,15 +521,10 @@ class Session:
         is the PG variant — renamed to keep the paper's column header.
         """
         if name == "GEAttack" and pg_explainer is not None:
-            attack = build_attack(
-                "GEAttack-PG", case, self.config, context=self,
-                backend=self.backend,
-            )
+            attack = build_attack("GEAttack-PG", case, self.config, context=self)
             attack.name = "GEAttack"
             return attack
-        return build_attack(
-            name, case, self.config, context=self, backend=self.backend
-        )
+        return build_attack(name, case, self.config, context=self)
 
     def _iter_table(self, experiment):
         config = self.config
@@ -807,8 +777,7 @@ class Session:
             arch=cell.arch,
         )
         attack = build_attack(
-            cell.attack, case, self.config, context=self, threat=threat,
-            backend=self.backend,
+            cell.attack, case, self.config, context=self, threat=threat
         )
         results = execute_with_threat(
             attack,

@@ -8,12 +8,12 @@ budget Δ, aiming to flip the prediction to a chosen target label.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.backend import get_backend
 from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.attacks.locality import build_locality_scene
@@ -30,6 +30,7 @@ from repro.obs.tracer import get_tracer
 __all__ = [
     "AttackResult",
     "Attack",
+    "backend_from_env",
     "DenseGCNForward",
     "DenseModelForward",
     "CandidatePolicy",
@@ -38,24 +39,24 @@ __all__ = [
     "candidate_nodes",
     "coerce_victim",
     "record_trace",
-    "resolve_attack_backend",
 ]
 
 
-def resolve_attack_backend(model, backend):
-    """The compute backend for attacking ``model``.
+def backend_from_env():
+    """The compute backend ``REPRO_BACKEND`` selects (dense or sparse).
 
-    The sparse CSR attack handles hard-code the symmetric GCN
-    normalization (fused renormalize + propagate kernels), so any other
-    architecture's attack math runs on the dense path: a sparse selection
-    is downgraded — counted as ``backend.arch_dense_fallback`` — instead
-    of silently producing wrong operators.
+    Read at call time (tests monkeypatch the environment); the value is
+    stripped and lowercased, and unset or empty means dense.  Anything
+    else raises ``ValueError``.
     """
-    resolved = get_backend(backend)
-    if resolved.is_sparse and getattr(model, "arch", "gcn") != "gcn":
-        metrics.incr("backend.arch_dense_fallback")
-        return get_backend("dense")
-    return resolved
+    value = os.environ.get("REPRO_BACKEND", "")
+    name = value.strip().lower() or "dense"
+    if name not in ("dense", "sparse"):
+        raise ValueError(
+            f"unknown compute backend {value!r} (expected one of: dense, sparse)"
+        )
+    return name
+
 
 #: Seed convention every runner uses when building attacks from specs:
 #: ``attack_seed = case.seed + SPEC_SEED_OFFSET`` (historically 21 in both
@@ -470,17 +471,22 @@ class Attack:
     #: ``"pg_explainer"``); supplied by the session/registry builder.
     requires = ()
 
-    def __init__(self, model, seed=0, candidate_policy=None, backend=None):
+    def __init__(self, model, seed=0, candidate_policy=None):
         self.model = model
         self.seed = int(seed)
         self.candidate_policy = candidate_policy
-        #: Compute backend (``repro.autodiff.get_backend``): dense by
-        #: default, sparse CSR when selected via ``REPRO_BACKEND`` or the
-        #: ``backend=`` parameter threaded through ``Session``/
-        #: ``build_attack``.  Attacks without a sparse kernel simply
-        #: ignore it and run the dense path; non-GCN victims force dense
-        #: (see :func:`resolve_attack_backend`).
-        self.backend = resolve_attack_backend(model, backend)
+        #: Whether the adjacency-gradient hot paths build a
+        #: :class:`SparseAttackAdjacency` instead of a dense leaf.  Set by
+        #: ``REPRO_BACKEND=sparse`` (:func:`backend_from_env`), and only
+        #: for GCN victims: the CSR handles hard-code the symmetric GCN
+        #: normalization, so any other architecture stays dense — counted
+        #: as ``backend.arch_dense_fallback`` — instead of silently
+        #: producing wrong operators.  Attacks without a sparse kernel
+        #: ignore the flag.
+        self.sparse = backend_from_env() == "sparse"
+        if self.sparse and getattr(model, "arch", "gcn") != "gcn":
+            metrics.incr("backend.arch_dense_fallback")
+            self.sparse = False
 
     # -- spec protocol -------------------------------------------------------
     @classmethod
@@ -527,14 +533,7 @@ class Attack:
         """Return an :class:`AttackResult`; implemented by subclasses."""
         raise NotImplementedError
 
-    def attack_many(
-        self,
-        graph,
-        victims,
-        jobs=1,
-        locality=True,
-        max_subgraph_fraction=0.9,
-    ):
+    def attack_many(self, graph, victims, jobs=1):
         """Attack every victim; returns results in victim order.
 
         Parameters
@@ -546,38 +545,31 @@ class Attack:
             Process-pool width (:func:`repro.parallel.parallel_map`);
             results are independent of ``jobs`` because every victim's RNG
             stream is seeded by its global node id.
-        locality:
-            Run each victim on its extracted computation subgraph when the
-            attack supports it (falls back to the full graph per victim
-            whenever a scene cannot be built or would not pay).
+
+        Each victim runs through :meth:`attack_one`.
         """
         from repro.parallel import parallel_map
 
         specs = [coerce_victim(victim) for victim in victims]
-
-        def run_one(spec):
-            return self.attack_one(
-                graph,
-                spec,
-                locality=locality,
-                max_subgraph_fraction=max_subgraph_fraction,
-            )
-
         return parallel_map(
-            run_one, specs, jobs=jobs,
+            lambda spec: self.attack_one(graph, spec), specs, jobs=jobs,
             describe=lambda spec: f"victim {spec.node} ({self.name})",
         )
 
-    def attack_one(self, graph, victim, locality=True, max_subgraph_fraction=0.9):
-        """Attack one victim, on its locality subgraph when possible."""
+    def attack_one(self, graph, victim):
+        """Attack one victim, on its locality subgraph when possible.
+
+        Falls back to the full graph whenever the attack does not support
+        locality or a scene cannot be built or would not pay.
+        """
         spec = coerce_victim(victim)
         with get_tracer().span(
             "attack", attack=self.name, victim=spec.node
         ), metrics.time_phase("attack_steps"):
             scene = None
-            if locality and self.supports_locality:
+            if self.supports_locality:
                 scene = self.build_locality_scene(
-                    graph, spec.node, spec.target_label, max_subgraph_fraction
+                    graph, spec.node, spec.target_label
                 )
             if scene is None:
                 return self.attack(

@@ -16,6 +16,7 @@ from repro.attacks.base import Attack, DenseGCNForward, record_trace
 from repro.attacks.locality import IdentityScene
 from repro.autodiff import functional as F
 from repro.autodiff import ops
+from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 
 __all__ = ["FGA", "FGATargeted", "targeted_loss", "select_best_candidate"]
@@ -56,12 +57,10 @@ class FGA(Attack):
             if candidates.size == 0:
                 break
             forward = self._scene_forward(scene, view)
-            if self.backend.is_sparse:
+            if self.sparse:
                 # One value per unordered pair: the gradient at a candidate
                 # pair *is* the symmetrized (i, j) + (j, i) score.
-                handle = self.backend.attack_adjacency(
-                    view.graph, view.node, candidates
-                )
+                handle = SparseAttackAdjacency(view.graph, view.node, candidates)
                 loss = targeted_loss(forward, handle, view.node, label)
                 row = sign * handle.candidate_gradients(grad(loss, handle.values))
                 best_local = int(candidates[int(np.argmax(row))])

@@ -40,6 +40,7 @@ from repro.attacks.fga import targeted_loss
 from repro.attacks.locality import IdentityScene
 from repro.autodiff import functional as F
 from repro.autodiff import ops
+from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 from repro.explain.gnn_explainer import explainer_loss
 from repro.explain.pg_explainer import apply_edge_mlp
@@ -228,7 +229,7 @@ class GEAttack(Attack):
         path (it is 0 at the paper's operating point).
         """
         target_node = int(target_node)
-        if self.backend.is_sparse and not self.entropy_coefficient:
+        if self.sparse and not self.entropy_coefficient:
             return self._sparse_candidate_scores(
                 forward, graph, target_node, target_label, evasion, mask_init,
                 candidates, degree_offset,
@@ -319,7 +320,7 @@ class GEAttack(Attack):
         directions of a pair, so ``grad(loss, values)`` at a candidate
         pair *is* the symmetrized entry ``(g + g.T)[victim, candidate]``.
         """
-        handle = self.backend.attack_adjacency(graph, target_node, candidates)
+        handle = SparseAttackAdjacency(graph, target_node, candidates)
         attack_term = targeted_loss(forward, handle, target_node, target_label)
         if not self.lam:
             return -handle.candidate_gradients(grad(attack_term, handle.values))
@@ -330,9 +331,7 @@ class GEAttack(Attack):
             )
             return -handle.candidate_gradients(grad(joint, handle.values))
 
-        penalty_handle = self.backend.attack_adjacency(
-            graph, target_node, candidates
-        )
+        penalty_handle = SparseAttackAdjacency(graph, target_node, candidates)
         penalty = self._sparse_explainer_penalty(
             forward, penalty_handle, target_node, target_label, evasion,
             mask_init, degree_offset,

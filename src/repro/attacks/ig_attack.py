@@ -25,6 +25,7 @@ import numpy as np
 from repro.attacks.base import Attack, record_trace
 from repro.attacks.fga import select_best_candidate, targeted_loss
 from repro.attacks.locality import IdentityScene
+from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 
 __all__ = ["IGAttack"]
@@ -54,7 +55,7 @@ class IGAttack(Attack):
             if candidates.size == 0:
                 break
             forward = self._scene_forward(scene, view)
-            if self.backend.is_sparse:
+            if self.sparse:
                 row = self._sparse_integrated_gradients(
                     forward, view.graph, view.node, target_label, candidates
                 )
@@ -105,7 +106,7 @@ class IGAttack(Attack):
         ``direction`` matrix), and the pair gradient is already the
         symmetrized score, so the per-candidate row falls out directly.
         """
-        handle = self.backend.attack_adjacency(graph, target_node, candidates)
+        handle = SparseAttackAdjacency(graph, target_node, candidates)
         total = np.zeros(int(candidates.size))
         for step in range(1, self.steps + 1):
             handle.values.data[handle.candidate_slice] = step / self.steps

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from repro.attacks.base import Attack, record_trace
 from repro.attacks.fga import targeted_loss
 from repro.attacks.locality import IdentityScene
+from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 from repro.graph.utils import normalize_adjacency
 from repro.nn.models import LinearizedGCN
@@ -201,10 +202,8 @@ class Nettack(Attack):
             view.graph.features,
             degree_offset=view.raw_degree_offset,
         )
-        if self.backend.is_sparse:
-            handle = self.backend.attack_adjacency(
-                view.graph, view.node, candidates
-            )
+        if self.sparse:
+            handle = SparseAttackAdjacency(view.graph, view.node, candidates)
             loss = targeted_loss(forward, handle, view.node, target_label)
             scores = -handle.candidate_gradients(grad(loss, handle.values))
         else:
@@ -225,7 +224,7 @@ class Nettack(Attack):
         per-candidate cost from ``O(nnz · C)`` to the victim's
         neighborhood and (skipping exact zero terms) is bit-identical.
         """
-        if self.backend.is_sparse:
+        if self.sparse:
             base = view.graph.adjacency.tocoo()
             node = int(view.node)
             rows = np.concatenate([base.row, [node, candidate]])
@@ -264,7 +263,6 @@ class _SurrogateForward:
         self.degree_offset = degree_offset
 
     def logits_from_raw(self, adjacency):
-        from repro.autodiff.sparse_ops import SparseAttackAdjacency
         from repro.graph.utils import normalize_adjacency_tensor
 
         if isinstance(adjacency, SparseAttackAdjacency):

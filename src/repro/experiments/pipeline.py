@@ -61,10 +61,6 @@ class PreparedCase:
     test_accuracy: float
     config: object
     seed: int
-    #: Compute backend preference threaded from ``Session``/``prepare_case``
-    #: into ``build_attack`` (``None`` = defer to ``REPRO_BACKEND``).  An
-    #: execution detail: never part of store keys or result payloads.
-    backend: object = None
     #: Victim architecture (:data:`repro.nn.ARCHITECTURES` name).  The
     #: default ``"gcn"`` is the historical setting and stays invisible in
     #: store keys (see :class:`repro.api.specs.ModelSpec`).
@@ -109,15 +105,12 @@ class MethodEvaluation:
         }
 
 
-def prepare_case(dataset_name, config, seed=None, backend=None, arch="gcn"):
+def prepare_case(dataset_name, config, seed=None, arch="gcn"):
     """Generate the dataset, train the victim, cache clean predictions.
 
-    ``backend`` is carried on the returned case for attack construction
-    (see :class:`PreparedCase`); training itself always runs the model's
-    constant operator and is backend-independent.  ``arch`` selects the
-    victim architecture (:func:`repro.nn.build_model`); the default
-    ``"gcn"`` reproduces the historical pipeline byte-for-byte (same RNG
-    consumption, same operator).
+    ``arch`` selects the victim architecture (:func:`repro.nn.build_model`);
+    the default ``"gcn"`` reproduces the historical pipeline byte-for-byte
+    (same RNG consumption, same operator).
     """
     seed = config.seed if seed is None else int(seed)
     arch = "gcn" if arch is None else str(arch)
@@ -159,7 +152,6 @@ def prepare_case(dataset_name, config, seed=None, backend=None, arch="gcn"):
         test_accuracy=result.test_accuracy,
         config=config,
         seed=seed,
-        backend=backend,
         arch=arch,
     )
 
@@ -240,8 +232,7 @@ class _TruncatedExplanation:
 
 
 def evaluate_feature_attack_method(
-    case, attack, victims, explainer_factory, detection_k=None, flip_budget=None,
-    jobs=1, locality=True,
+    case, attack, victims, explainer_factory, flip_budget=None, jobs=1
 ):
     """Feature-space mirror of :func:`repro.api.session.evaluate_method`.
 
@@ -254,20 +245,19 @@ def evaluate_feature_attack_method(
     ``flip_budget`` decouples the word-flip budget from the edge protocol's
     Δ = degree: one planted word moves a prediction far less than one edge,
     so feature attacks get a fixed budget (default: the config's
-    ``budget_cap``) rather than the victim's degree.  ``jobs`` and
-    ``locality`` behave as in :func:`repro.api.session.evaluate_method`.
+    ``budget_cap``) rather than the victim's degree.  ``jobs`` behaves as
+    in :func:`repro.api.session.evaluate_method`, and the detection
+    cut-off is the config's ``detection_k``.
     """
     from repro.metrics import feature_detection_report
 
     config = case.config
-    k = int(detection_k or config.detection_k)
+    k = int(config.detection_k)
     budget = int(config.budget_cap if flip_budget is None else flip_budget)
 
     def evaluate_one(victim):
         result = attack.attack_one(
-            case.graph,
-            VictimSpec(victim.node, victim.target_label, budget),
-            locality=locality,
+            case.graph, VictimSpec(victim.node, victim.target_label, budget)
         )
         if result.flipped_features:
             explainer = explainer_factory(result.perturbed_graph)

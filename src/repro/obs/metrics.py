@@ -19,26 +19,29 @@ increment unconditionally while tracing stays opt-in.
 
 Counter catalog (the names the platform emits today):
 
-=============================  =============================================
-``graph_cache.hits/misses``    :func:`repro.graph.utils.graph_cached`
-``store.reads``                ``ResultStore.get`` calls
-``store.read_hits/misses``     ...split by outcome (miss = absent/corrupt)
-``store.writes``               ``ResultStore.put`` calls
-``store.quarantined``          corrupt records renamed to ``*.corrupt``
-``store.bulk_flushes``         ``bulk()`` batch commits
-``store.fsyncs``               record + manifest fsync syscalls
-``store.compressed_writes``    records gzip-compressed on ``put``
-``lease.acquired/busy/stolen`` ``ResultStore.try_lease`` outcomes
-``lease.renewed``              heartbeat TTL extensions (``Lease.renew``)
-``arena.cells_deferred``       cells skipped on first pass (foreign lease)
-``service.jobs_*``             job server intake/outcomes (``repro.service``)
-``backend.dispatch.<name>``    adjacency-leaf builds per compute backend
-``parallel.items/failures``    units of work through ``parallel_map``
-``phase.<name>.seconds/calls`` :func:`time_phase` blocks: ``case_prep``,
-                               ``surrogate_training``, ``explainer_fitting``,
-                               ``attack_steps``, ``defense_eval``,
-                               ``store_io``
-=============================  =============================================
+===============================  =============================================
+``graph_cache.hits/misses``      :func:`repro.graph.utils.graph_cached`
+``store.reads``                  ``ResultStore.get`` calls
+``store.read_hits/misses``       ...split by outcome (miss = absent/corrupt)
+``store.writes``                 ``ResultStore.put`` calls
+``store.quarantined``            corrupt records renamed to ``*.corrupt``
+``store.bulk_flushes``           ``bulk()`` batch commits
+``store.fsyncs``                 record + manifest fsync syscalls
+``store.compressed_writes``      records gzip-compressed on ``put``
+``lease.acquired/busy/stolen``   ``ResultStore.try_lease`` outcomes
+``lease.renewed``                heartbeat TTL extensions (``Lease.renew``)
+``arena.cells_deferred``         cells skipped on first pass (foreign lease)
+``service.jobs_*``               job server intake/outcomes (``repro.service``)
+``backend.arch_dense_fallback``  ``REPRO_BACKEND=sparse`` downgraded for a
+                                 non-GCN victim (``Attack.__init__``)
+``locality.arch_fallback``       scenes declined for a victim without exact
+                                 locality (GAT)
+``parallel.items/failures``      units of work through ``parallel_map``
+``phase.<name>.seconds/calls``   :func:`time_phase` blocks: ``case_prep``,
+                                 ``surrogate_training``, ``explainer_fitting``,
+                                 ``attack_steps``, ``defense_eval``,
+                                 ``store_io``
+===============================  =============================================
 """
 
 from __future__ import annotations

@@ -141,13 +141,11 @@ class JobQueue:
         config=None,
         workers=2,
         jobs=1,
-        backend=None,
         cases=None,
     ):
         self.store_root = str(store_root)
         self.config = config
         self.session_jobs = max(1, int(jobs))
-        self.backend = backend
         self.cases = {} if cases is None else cases
         self._prep_lock = threading.RLock()
         self._jobs = {}
@@ -217,7 +215,6 @@ class JobQueue:
             config=self.config,
             jobs=self.session_jobs,
             cases=self.cases,
-            backend=self.backend,
             prep_lock=self._prep_lock,
         )
 

@@ -148,7 +148,6 @@ class ArenaService:
         port=0,
         workers=2,
         jobs=1,
-        backend=None,
         cases=None,
     ):
         self.queue = JobQueue(
@@ -156,7 +155,6 @@ class ArenaService:
             config=config,
             workers=workers,
             jobs=jobs,
-            backend=backend,
             cases=cases,
         )
         self.store_root = self.queue.store_root

@@ -210,15 +210,7 @@ def reanchor_result(inner, graph, victim_model):
     )
 
 
-def adaptive_attack_one(
-    attack,
-    graph,
-    spec,
-    defense,
-    victim_model,
-    locality=True,
-    max_subgraph_fraction=0.9,
-):
+def adaptive_attack_one(attack, graph, spec, defense, victim_model):
     """Defense-in-the-loop greedy attack on one victim.
 
     The preprocess-aware game, played receding-horizon: at every step the
@@ -248,10 +240,7 @@ def adaptive_attack_one(
             break  # the simulated defended prediction is already flipped
         view = defense.attacker_view(base, spec.node)
         inner = attack.attack_one(
-            view,
-            VictimSpec(spec.node, spec.target_label, spec.budget),
-            locality=locality,
-            max_subgraph_fraction=max_subgraph_fraction,
+            view, VictimSpec(spec.node, spec.target_label, spec.budget)
         )
         base_edges = base.edge_set()
         fresh = [
@@ -313,8 +302,6 @@ def execute_with_threat(
     threat=None,
     defense=None,
     jobs=1,
-    locality=True,
-    max_subgraph_fraction=0.9,
 ):
     """Attack every victim under a threat model; results in victim order.
 
@@ -344,13 +331,7 @@ def execute_with_threat(
     specs = [coerce_victim(victim) for victim in victims]
     graph = case.graph
     if threat.is_default:
-        return attack.attack_many(
-            graph,
-            specs,
-            jobs=jobs,
-            locality=locality,
-            max_subgraph_fraction=max_subgraph_fraction,
-        )
+        return attack.attack_many(graph, specs, jobs=jobs)
     if threat.is_adaptive and defense is None:
         raise ValueError(
             "preprocess_aware execution needs the adapted defense instance"
@@ -360,20 +341,9 @@ def execute_with_threat(
     def run_one(spec):
         if threat.is_adaptive:
             return adaptive_attack_one(
-                attack,
-                graph,
-                spec,
-                defense,
-                victim_model,
-                locality=locality,
-                max_subgraph_fraction=max_subgraph_fraction,
+                attack, graph, spec, defense, victim_model
             )
-        inner = attack.attack_one(
-            graph,
-            spec,
-            locality=locality,
-            max_subgraph_fraction=max_subgraph_fraction,
-        )
+        inner = attack.attack_one(graph, spec)
         return reanchor_result(inner, graph, victim_model)
 
     return parallel_map(

@@ -15,8 +15,8 @@ nothing else.  Three layers of contract, mirroring the locality suite:
   same edge sets, predictions and (to float tolerance) score traces as
   the dense path, under both full-graph and locality execution.
 
-Backend selection (env var, explicit argument, threading through
-``Session``/``prepare_case``/``build_attack``) is covered at the end.
+Backend selection (``REPRO_BACKEND``, read once per attack into its
+``sparse`` flag, including through ``build_attack``) is covered at the end.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ import pytest
 import scipy.sparse as sp
 
 from repro.attacks import ATTACKS, VictimSpec
+from repro.attacks.base import backend_from_env
 from repro.autodiff import (
-    Backend,
     CSRStructure,
-    DenseBackend,
     SparseAttackAdjacency,
     csr_matmat,
-    get_backend,
     masked_inverse_sqrt,
 )
 from repro.autodiff.gradcheck import gradcheck, gradgradcheck
@@ -65,12 +63,11 @@ def build_pair(name, model, seed=0):
         base, kwargs = name, FAST_KWARGS.get(name, {})
     dense = ATTACKS[base](model, seed=seed, **kwargs)
     sparse = ATTACKS[base](model, seed=seed, **kwargs)
-    # Post-construction assignment is the build_attack threading convention
-    # (subclass constructors stay untouched).  Both sides are pinned so the
-    # harness itself is immune to REPRO_BACKEND (the tier1-sparse CI job
-    # runs this very suite with the env var set).
-    dense.backend = get_backend("dense")
-    sparse.backend = get_backend("sparse")
+    # Both sides are pinned after construction so the harness itself is
+    # immune to REPRO_BACKEND (the tier1-sparse CI job runs this very
+    # suite with the env var set).
+    dense.sparse = False
+    sparse.sparse = True
     return dense, sparse
 
 
@@ -290,7 +287,7 @@ class TestAttackDifferential:
         budget = min(budget, 3)
         label = None if name == "FGA" else target_label
         dense, sparse = build_pair(name, trained_model, seed=23)
-        assert not dense.backend.is_sparse and sparse.backend.is_sparse
+        assert not dense.sparse and sparse.sparse
         assert_results_match(
             dense.attack(tiny_graph, node, label, budget),
             sparse.attack(tiny_graph, node, label, budget),
@@ -329,43 +326,50 @@ class TestAttackDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Selection and threading
+# Selection: REPRO_BACKEND -> Attack.sparse
 # ---------------------------------------------------------------------------
 
 
 class TestBackendSelection:
-    def test_default_is_dense(self, monkeypatch):
+    def test_default_is_dense(self, trained_model, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert get_backend().name == "dense"
-        assert not get_backend().is_sparse
+        assert backend_from_env() == "dense"
+        assert not ATTACKS["FGA-T"](trained_model).sparse
 
-    def test_env_var_selects_sparse(self, monkeypatch):
+    def test_env_var_selects_sparse(self, trained_model, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "sparse")
-        assert get_backend().name == "sparse"
-        # An explicit argument wins over the environment.
-        assert get_backend("dense").name == "dense"
+        assert backend_from_env() == "sparse"
+        assert ATTACKS["FGA-T"](trained_model).sparse
 
-    def test_backends_are_singletons(self):
-        assert get_backend("sparse") is get_backend("SPARSE")
-        assert get_backend(get_backend("dense")) is get_backend("dense")
-        assert isinstance(get_backend("dense"), DenseBackend)
-        assert isinstance(get_backend("dense"), Backend)
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("", "dense"), ("SPARSE", "sparse"), (" Sparse ", "sparse")],
+    )
+    def test_env_value_is_stripped_and_lowercased(
+        self, value, expected, trained_model, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        assert backend_from_env() == expected
+        assert ATTACKS["FGA-T"](trained_model).sparse == (expected == "sparse")
 
-    def test_unknown_name_raises(self):
+    def test_unknown_name_raises(self, trained_model, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "gpu")
         with pytest.raises(ValueError, match="unknown compute backend 'gpu'"):
-            get_backend("gpu")
+            backend_from_env()
+        with pytest.raises(ValueError, match="unknown compute backend 'gpu'"):
+            ATTACKS["FGA-T"](trained_model)
 
-    def test_attack_constructor_accepts_backend(self, trained_model, monkeypatch):
-        attack = ATTACKS["FGA-T"](trained_model, backend="sparse")
-        assert attack.backend.is_sparse
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert not ATTACKS["FGA-T"](trained_model).backend.is_sparse
+    def test_flag_is_read_once_at_construction(self, trained_model, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
+        attack = ATTACKS["FGA-T"](trained_model)
+        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        assert attack.sparse
+        assert not ATTACKS["FGA-T"](trained_model).sparse
 
-    def test_build_attack_threads_case_backend(
-        self, tiny_graph, trained_model, clean_predictions
+    def test_build_attack_reads_env(
+        self, tiny_graph, trained_model, clean_predictions, monkeypatch
     ):
         from repro.api.registry import build_attack
-        from repro.api.session import Session
         from repro.experiments import SCALE_PRESETS
         from repro.experiments.pipeline import PreparedCase
 
@@ -379,12 +383,8 @@ class TestBackendSelection:
             test_accuracy=1.0,
             config=config,
             seed=0,
-            backend="sparse",
         )
-        assert build_attack("FGA-T", case, config).backend.is_sparse
-        # An explicit argument beats the case's threaded preference.
-        assert not build_attack(
-            "FGA-T", case, config, backend="dense"
-        ).backend.is_sparse
-        # Session carries the preference into every case it prepares.
-        assert Session(config=config, backend="sparse").backend == "sparse"
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
+        assert build_attack("FGA-T", case, config).sparse
+        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        assert not build_attack("FGA-T", case, config).sparse

@@ -9,21 +9,24 @@ Three per-layer guarantees back the arena's architecture axis:
 * **Aggregation is permutation-equivariant** — relabeling nodes permutes
   logits and nothing else (``f(PAPᵀ, PX) = P f(A, X)``).
 * **Backend honesty** — the sparse CSR kernels hard-code the symmetric
-  GCN normalization, so a sparse backend selection for any other
-  architecture must *visibly* downgrade to dense
+  GCN normalization, so ``REPRO_BACKEND=sparse`` for any other
+  architecture must *visibly* downgrade the attack to dense
   (``backend.arch_dense_fallback``), never silently mis-normalize.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.attacks.base import resolve_attack_backend
+from repro.api.registry import build_attack
 from repro.autodiff import ops
 from repro.autodiff.gradcheck import gradcheck
 from repro.autodiff.tensor import Tensor, astensor, no_grad
+from repro.experiments import SCALE_PRESETS
 from repro.graph import normalize_adjacency
 from repro.nn import ARCHITECTURES, GCN, build_model, train_node_classifier
 from repro.obs import metrics
@@ -140,19 +143,26 @@ class TestPermutationEquivariance:
         assert np.allclose(shuffled, base[permutation], atol=1e-10)
 
 
+def sparse_attack_for(arch):
+    """``build_attack`` of FGA-T against a fresh ``arch`` victim."""
+    config = SCALE_PRESETS["smoke"]
+    case = SimpleNamespace(model=fresh_model(arch), seed=0, config=config)
+    return build_attack("FGA-T", case, config)
+
+
 class TestBackendContract:
-    def test_sparse_selection_downgrades_to_dense_for_non_gcn(self):
+    def test_sparse_selection_downgrades_to_dense_for_non_gcn(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
         for arch in ("gat", "sage", "gin"):
             before = metrics.counters().get("backend.arch_dense_fallback", 0)
-            backend = resolve_attack_backend(fresh_model(arch), "sparse")
-            assert not backend.is_sparse, arch
+            assert not sparse_attack_for(arch).sparse, arch
             after = metrics.counters()["backend.arch_dense_fallback"]
             assert after == before + 1, arch
 
-    def test_gcn_keeps_the_sparse_selection(self):
+    def test_gcn_keeps_the_sparse_selection(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
         before = metrics.counters().get("backend.arch_dense_fallback", 0)
-        backend = resolve_attack_backend(fresh_model("gcn"), "sparse")
-        assert backend.is_sparse
+        assert sparse_attack_for("gcn").sparse
         assert (
             metrics.counters().get("backend.arch_dense_fallback", 0) == before
         )

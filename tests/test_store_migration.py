@@ -10,16 +10,18 @@ record — and the rendered matrix — stays byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import Session
 from repro.arena import ResultStore, ScenarioGrid, render_arena_matrices
+from repro.attacks.base import Attack
 from repro.experiments import SCALE_PRESETS
+from repro.nn import GCN
 
 FIXTURE = Path(__file__).parent / "data" / "v1_store"
 
@@ -41,6 +43,38 @@ GRID = ScenarioGrid(
 )
 
 
+def dense_kernels():
+    """Whether attacks built now run the dense kernels.
+
+    The fixture was generated on the dense backend; the sparse kernels
+    agree on edge sets/ASR but wobble score-trace floats at the last ulp,
+    so byte-equality against a fresh run only holds on dense.  Decided by
+    the same ``REPRO_BACKEND`` resolution every attack makes at
+    construction, not by re-parsing the variable here.
+    """
+    return not Attack(GCN(2, 2, 2, np.random.default_rng(0))).sparse
+
+
+@pytest.mark.parametrize(
+    "value, dense",
+    [
+        (None, True),
+        ("", True),
+        ("dense", True),
+        ("DENSE", True),
+        (" Dense ", True),
+        ("sparse", False),
+        ("SPARSE", False),
+    ],
+)
+def test_byte_exactness_follows_attack_resolution(monkeypatch, value, dense):
+    if value is None:
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BACKEND", value)
+    assert dense_kernels() is dense
+
+
 @pytest.fixture(scope="module")
 def session():
     """One session for the module, so its trained cases are shared."""
@@ -52,7 +86,7 @@ def cold(tmp_path_factory, session):
     """A fresh cold run: the byte-level reference the fixture must match."""
     store = ResultStore(tmp_path_factory.mktemp("migration") / "cold")
     run = session.arena(GRID, store)
-    return store, run, render_arena_matrices(run)
+    return store, run, render_arena_matrices(run), dense_kernels()
 
 
 @pytest.fixture()
@@ -75,7 +109,7 @@ def test_fixture_is_a_pure_v1_layout():
 
 
 def test_v1_store_resumes_with_zero_executed(cold, session, v1_store):
-    _, reference, text = cold
+    _, reference, text, _ = cold
     run = session.arena(GRID, ResultStore(v1_store))
     assert run.executed == 0
     assert run.loaded == reference.executed
@@ -86,7 +120,7 @@ def test_v1_store_resumes_with_zero_executed(cold, session, v1_store):
 def test_migration_builds_manifest_and_keeps_records_untouched(
     cold, v1_store
 ):
-    cold_store, reference, _ = cold
+    cold_store, reference, _, byte_exact = cold
     before = {
         p.relative_to(v1_store): p.read_bytes()
         for p in v1_store.rglob("*.json")
@@ -104,10 +138,7 @@ def test_migration_builds_manifest_and_keeps_records_untouched(
     assert after == before  # migration never rewrites records
     # ...and they are the same records a fresh v2 run produces.
     assert sorted(store.keys()) == sorted(cold_store.keys())
-    # The fixture was generated on the dense backend; the sparse kernels
-    # agree on edge sets/ASR but wobble score-trace floats at the last
-    # ulp, so byte-equality against a fresh run only holds on dense.
-    byte_exact = os.environ.get("REPRO_BACKEND", "dense") == "dense"
+    # Byte-equality holds when the cold run used the dense kernels.
     for key in store.keys():
         mine = store.path(key).read_bytes()
         cold_bytes = cold_store.path(key).read_bytes()
@@ -126,7 +157,7 @@ def test_migration_builds_manifest_and_keeps_records_untouched(
 def test_migrated_store_is_a_full_v2_citizen(cold, session, v1_store):
     """Post-migration stores support the whole v2 surface: O(1) reopen,
     corruption quarantine, and further resumable writes."""
-    _, reference, text = cold
+    _, reference, text, _ = cold
     store = ResultStore(v1_store)
     keys = store.keys()
     # Warm reopen reads the manifest, not the shard tree.
