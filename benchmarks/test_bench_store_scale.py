@@ -1,17 +1,17 @@
 """Result-store scale benchmark: manifest index vs v1 directory walks.
 
 Drives the v2 :class:`~repro.arena.ResultStore` to ``10^5`` records and
-records write/read/resume throughput in ``BENCH_store_scale.json`` at the
-repo root, alongside a head-to-head against the v1 strategy (enumerate
-keys by walking the two-level shard tree) that the manifest replaced.
+prints write/read/resume throughput, alongside a head-to-head against the
+v1 strategy (enumerate keys by walking the two-level shard tree) that the
+manifest replaced.  Neither entry point writes a file.
 
 Two entry points:
 
 * ``test_bench_store_scale_smoke`` always runs at a few thousand records
   — a CI-sized guard that the manifest index stays faster than walking.
-* ``test_bench_store_scale_full`` is the committed-number run.  It is
-  skipped at smoke scale unless ``REPRO_STORE_BENCH_RECORDS`` is set
-  (the BENCH json in the repo was produced with ``100000``).
+* ``test_bench_store_scale_full`` is the full-size run (``100000``
+  records by default).  It is skipped at smoke scale unless
+  ``REPRO_STORE_BENCH_RECORDS`` sets the record count.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from repro.arena import ResultStore, content_key
 from repro.obs import metrics
 
 from conftest import active_scale
-
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_store_scale.json",
-)
 
 #: Durable (per-record fsync) writes are benchmarked on a slice this size;
 #: the bulk path covers the rest.  Arena sweeps write through ``bulk()``.
@@ -149,7 +144,7 @@ def test_bench_store_scale_smoke(tmp_path):
 
 
 def test_bench_store_scale_full(tmp_path):
-    """The committed-number run: >=10^5 records into BENCH_store_scale.json."""
+    """The full-size run: 10^5 records (or the env count), printed."""
     env = os.environ.get("REPRO_STORE_BENCH_RECORDS")
     if env:
         count = int(env)
@@ -161,9 +156,6 @@ def test_bench_store_scale_full(tmp_path):
             "or REPRO_SCALE != smoke"
         )
     record = _run_store_benchmark(tmp_path / "store", count)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     print()
     print(json.dumps(record, indent=2, sort_keys=True))
     assert record["resume_index_seconds"] < record["resume_v1_walk_seconds"]

@@ -5,18 +5,21 @@ enabled (the ``repro.obs`` layer) and shows the three observability
 surfaces the platform emits:
 
 1. **the trace file** — one JSONL span record per unit of work
-   (``arena-run`` → ``cell`` → ``case-prep``/``store-read``/``unit`` →
-   ``attack``), schema-checked and summarized offline with
-   ``python -m repro trace summarize``;
+   (``arena-run`` → ``cell`` → ``case-prep``/``store-read``/``unit``/
+   ``store-write``/``defense`` → ``attack``), schema-checked and
+   summarized offline with ``python -m repro trace summarize``;
 2. **counters** — always-on process-local tallies (store reads/writes,
-   graph-cache hits, lease outcomes, per-phase wall-clock), exact at any
-   ``jobs`` width because workers ship deltas back through the pool;
+   graph-cache hits, lease outcomes, and ``phase.<span>.seconds`` for
+   every span), exact at any ``jobs`` width because workers ship deltas
+   back through the pool;
 3. **the run manifest** — ``ArenaRun.manifest``, the per-run summary a
-   service front-end would ingest (totals, cache ratios, slowest cells).
+   service front-end would ingest (totals, cache ratios, per-span
+   phases, slowest cells).
 
 Telemetry is strictly out-of-band: store keys, result payloads and the
-rendered matrices are byte-identical with tracing on or off, and with
-``REPRO_TRACE`` unset the span layer is a shared no-op singleton.
+rendered matrices are byte-identical with tracing on or off.  With
+``REPRO_TRACE`` unset, spans still time themselves into the counters
+(so the manifest is complete) but write no record.
 
 Usage::
 
@@ -73,8 +76,8 @@ def main():
 
         # Warm resume, untraced: identical results, zero attacks executed,
         # and the manifest's store hit ratio flips to 100% cached.  The
-        # manifest is built from always-on counters, so it is populated
-        # even though no trace file is being written here.
+        # manifest is built from span timings and always-on counters, so
+        # it is populated even though no trace file is being written here.
         warm = session.arena(grid, ResultStore(workdir / "store"))
         print()
         print(f"warm resume: {warm.stats_line()}")

@@ -139,6 +139,7 @@ def iter_method_events(
     k = int(eval_spec.detection_k)
     window = int(eval_spec.explanation_size)
     victims = list(victims)
+    tracer = get_tracer()
 
     def evaluate_one(victim):
         budget = min(victim.budget, config.budget_cap)
@@ -147,7 +148,7 @@ def iter_method_events(
         )
         ranking = None
         if result.added_edges:
-            with metrics.time_phase("explainer_fitting"):
+            with tracer.span("explain", victim=victim.node):
                 explainer = explainer_factory(result.perturbed_graph)
                 explanation = explainer.explain_node(
                     result.perturbed_graph, victim.node
@@ -175,7 +176,6 @@ def iter_method_events(
         result.perturbed_graph = None
         return result, report, row, ranking
 
-    tracer = get_tracer()
     with tracer.span(
         "method", method=attack.name, victims=len(victims)
     ) as span:
@@ -529,7 +529,6 @@ class Session:
     def _iter_table(self, experiment):
         config = self.config
         tracer = get_tracer()
-        started = time.perf_counter()
         base = metrics.snapshot()
         wanted = set(experiment.methods or METHOD_ORDER)
         comparison = ComparisonResult(
@@ -541,10 +540,9 @@ class Session:
             explainer=experiment.explainer,
         ) as root:
             for run_index in range(config.num_seeds):
-                with tracer.span("case-prep", dataset=experiment.dataset):
-                    case, victims = self.prepared(
-                        experiment.dataset, seed=config.seed + 100 * run_index
-                    )
+                case, victims = self.prepared(
+                    experiment.dataset, seed=config.seed + 100 * run_index
+                )
                 yield CasePrepared(
                     dataset=experiment.dataset,
                     seed=case.seed,
@@ -580,7 +578,7 @@ class Session:
                     evaluations[attack.name] = evaluation
                 comparison.runs.append(evaluations)
         comparison.manifest = build_manifest(
-            wall_seconds=time.perf_counter() - started,
+            wall_seconds=root.seconds,
             cells=[],
             counters=metrics.delta_since(base),
         )
@@ -615,23 +613,27 @@ class Session:
         run = ArenaRun(grid=grid, config=config)
 
         tracer = get_tracer()
-        started = time.perf_counter()
         base = metrics.snapshot()
         cells = list(grid.cells())
         cell_rows = {}
+        prep = {}
 
-        def account(cell, seconds, outcome):
-            """Fold one attempt into the manifest's per-cell rows."""
+        def attempt(cell, first):
+            """One timed attempt at a cell, folded into its manifest row."""
+            with tracer.span("cell", cell=cell.label()) as span:
+                completed, cached, executed = yield from self._attempt_cell(
+                    run, grid, store, experiment, cell, prep, span, first
+                )
             row = cell_rows.setdefault(
                 cell.label(),
                 {"label": cell.label(), "seconds": 0.0, "cached": 0,
                  "executed": 0},
             )
-            row["seconds"] += seconds
-            completed, cached, executed = outcome
+            row["seconds"] += span.seconds
             if completed:
                 row["cached"] += cached
                 row["executed"] += executed
+            return completed
 
         with tracer.span(
             "arena-run", cells=len(cells), defenses=len(grid.defenses)
@@ -640,15 +642,9 @@ class Session:
             # A cell leased by another live run is deferred, not blocked on —
             # with a single writer (the historical case) no lease is ever
             # contested, so ordering and results are unchanged.
-            prep = {}
             pending = []
             for cell in cells:
-                attempt_started = time.perf_counter()
-                outcome = yield from self._attempt_cell(
-                    run, grid, store, experiment, cell, prep, first=True
-                )
-                account(cell, time.perf_counter() - attempt_started, outcome)
-                if not outcome[0]:
+                if not (yield from attempt(cell, first=True)):
                     pending.append(cell)
 
             # Re-poll deferred cells until their foreign writers commit (or
@@ -657,104 +653,98 @@ class Session:
             while pending:
                 still_pending = []
                 for cell in pending:
-                    attempt_started = time.perf_counter()
-                    outcome = yield from self._attempt_cell(
-                        run, grid, store, experiment, cell, prep, first=False
-                    )
-                    account(
-                        cell, time.perf_counter() - attempt_started, outcome
-                    )
-                    if not outcome[0]:
+                    if not (yield from attempt(cell, first=False)):
                         still_pending.append(cell)
                 pending = still_pending
                 if pending:
                     with tracer.span("lease-wait", pending=len(pending)):
                         time.sleep(experiment.poll_interval)
         run.manifest = build_manifest(
-            wall_seconds=time.perf_counter() - started,
+            wall_seconds=root.seconds,
             cells=list(cell_rows.values()),
             counters=metrics.delta_since(base),
         )
         yield RunCompleted(run, span=root.id)
 
-    def _attempt_cell(self, run, grid, store, experiment, cell, prep, first):
+    def _attempt_cell(
+        self, run, grid, store, experiment, cell, prep, span, first
+    ):
         """One leased attempt at an arena cell (an event generator).
 
-        Returns ``(completed, cached, executed)`` through the generator
-        protocol (``yield from`` captures it).  ``prep`` memoizes the
-        cell's prepared case/specs/keys across re-poll attempts; the
+        Runs inside the attempt's open ``cell`` ``span``.  Returns
+        ``(completed, cached, executed)`` through the generator protocol
+        (``yield from`` captures it).  ``prep`` memoizes the cell's
+        prepared case/specs/keys across re-poll attempts; the
         ``CellDeferred`` event and the deferral counters fire only on the
         ``first`` attempt (re-polls are silent until the cell completes).
         """
         tracer = get_tracer()
-        with tracer.span("cell", cell=cell.label()) as span:
-            entry = prep.get(id(cell))
-            if entry is None:
-                with tracer.span("case-prep", dataset=cell.dataset):
-                    case, victims = self.prepared(
-                        cell.dataset,
-                        seed=cell.seed,
-                        hidden=cell.hidden,
-                        arch=cell.arch,
-                    )
-                specs = [
-                    VictimSpec(
-                        node=victim.node,
-                        target_label=victim.target_label,
-                        budget=min(victim.budget, cell.budget_cap),
-                    )
-                    for victim in victims
-                ]
-                cfg = cell_config(cell, self.config)
-                keys = [victim_key(cfg, spec) for spec in specs]
-                entry = prep[id(cell)] = (case, specs, cfg, keys)
-            case, specs, cfg, keys = entry
-            # Read *through* the store up front: a missing, torn or
-            # quarantined record is simply a miss to re-execute.
-            with tracer.span("store-read", records=len(keys)):
-                payloads = {key: store.get(key) for key in keys}
-            missing = [
-                (spec, key)
-                for spec, key in zip(specs, keys)
-                if payloads[key] is None
-            ]
-            executed_keys = frozenset()
-            if missing:
-                lease = store.try_lease(
-                    content_key(cfg), ttl=experiment.lease_ttl
-                )
-                if lease is None:
-                    span.set(
-                        deferred=True,
-                        cached=len(specs) - len(missing),
-                        executed=0,
-                    )
-                    if first:
-                        run.deferred += 1
-                        metrics.incr("arena.cells_deferred")
-                        yield CellDeferred(
-                            cell=cell, missing=len(missing), span=span.id
-                        )
-                    return (False, 0, 0)
-                try:
-                    # Heartbeat the lease while the attacks run: a cell
-                    # slower than the TTL stays ours (renewed every
-                    # ttl/3) instead of being stolen and double-executed
-                    # by a concurrent run.
-                    with lease.keep_alive():
-                        executed_keys = self._execute_missing(
-                            run, store, cell, case, cfg, missing
-                        )
-                finally:
-                    lease.release()
-            cached = len(specs) - len(executed_keys)
-            span.set(cached=cached, executed=len(executed_keys))
-            run.loaded += cached
-            yield from self._finish_cell(
-                run, grid, store, cell, case, specs, keys, executed_keys,
-                payloads,
+        entry = prep.get(id(cell))
+        if entry is None:
+            case, victims = self.prepared(
+                cell.dataset,
+                seed=cell.seed,
+                hidden=cell.hidden,
+                arch=cell.arch,
             )
-            return (True, cached, len(executed_keys))
+            specs = [
+                VictimSpec(
+                    node=victim.node,
+                    target_label=victim.target_label,
+                    budget=min(victim.budget, cell.budget_cap),
+                )
+                for victim in victims
+            ]
+            cfg = cell_config(cell, self.config)
+            keys = [victim_key(cfg, spec) for spec in specs]
+            entry = prep[id(cell)] = (case, specs, cfg, keys)
+        case, specs, cfg, keys = entry
+        # Read *through* the store up front: a missing, torn or
+        # quarantined record is simply a miss to re-execute.
+        with tracer.span("store-read", records=len(keys)):
+            payloads = {key: store.get(key) for key in keys}
+        missing = [
+            (spec, key)
+            for spec, key in zip(specs, keys)
+            if payloads[key] is None
+        ]
+        executed_keys = frozenset()
+        if missing:
+            lease = store.try_lease(
+                content_key(cfg), ttl=experiment.lease_ttl
+            )
+            if lease is None:
+                span.set(
+                    deferred=True,
+                    cached=len(specs) - len(missing),
+                    executed=0,
+                )
+                if first:
+                    run.deferred += 1
+                    metrics.incr("arena.cells_deferred")
+                    yield CellDeferred(
+                        cell=cell, missing=len(missing), span=span.id
+                    )
+                return (False, 0, 0)
+            try:
+                # Heartbeat the lease while the attacks run: a cell
+                # slower than the TTL stays ours (renewed every
+                # ttl/3) instead of being stolen and double-executed
+                # by a concurrent run.
+                with lease.keep_alive():
+                    executed_keys = self._execute_missing(
+                        run, store, cell, case, cfg, missing
+                    )
+            finally:
+                lease.release()
+        cached = len(specs) - len(executed_keys)
+        span.set(cached=cached, executed=len(executed_keys))
+        run.loaded += cached
+        yield from self._finish_cell(
+            run, grid, store, cell, case, specs, keys, executed_keys,
+            payloads,
+        )
+        return (True, cached, len(executed_keys))
 
     def _execute_missing(self, run, store, cell, case, cfg, missing):
         """Attack a cell's missing victims under a held lease; store results.
@@ -788,17 +778,18 @@ class Session:
             jobs=self.jobs,
         )
         run.executed += len(results)
-        with store.bulk():
-            for (spec, key), result in zip(missing, results):
-                store.put(
-                    key,
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "cell": cfg,
-                        "victim": victim_dict(spec),
-                        "result": result.to_dict(),
-                    },
-                )
+        with get_tracer().span("store-write", records=len(results)):
+            with store.bulk():
+                for (spec, key), result in zip(missing, results):
+                    store.put(
+                        key,
+                        {
+                            "schema": SCHEMA_VERSION,
+                            "cell": cfg,
+                            "victim": victim_dict(spec),
+                            "result": result.to_dict(),
+                        },
+                    )
         return frozenset(key for _, key in missing)
 
     def _finish_cell(
@@ -894,14 +885,13 @@ class Session:
 
         def evaluate_one(item):
             spec, result = item
-            with metrics.time_phase("defense_eval"):
-                defended = defense.predict(result.perturbed_graph, spec.node)
-                return (
-                    bool(defended != result.original_prediction),
-                    float(defense.flag(result.perturbed_graph, spec.node)),
-                    float(defense.flag(case.graph, spec.node)),
-                    bool(result.misclassified),
-                )
+            defended = defense.predict(result.perturbed_graph, spec.node)
+            return (
+                bool(defended != result.original_prediction),
+                float(defense.flag(result.perturbed_graph, spec.node)),
+                float(defense.flag(case.graph, spec.node)),
+                bool(result.misclassified),
+            )
 
         rows = parallel_map(
             evaluate_one,

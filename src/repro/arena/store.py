@@ -318,38 +318,37 @@ class ResultStore:
         """
         metrics.incr("store.reads")
         path = self.path(key)
-        with metrics.time_phase("store_io"):
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            self._drop(key)
+            metrics.incr("store.read_misses")
+            return None
+        except OSError as error:
+            metrics.incr("store.read_misses")
+            return self._quarantine(key, path, f"unreadable ({error})")
+        entry = self._index.get(key)
+        if entry is not None:
+            # Manifest length/sha cover the *stored* bytes —
+            # compressed or not — so the integrity check is format-
+            # independent and precedes any decompression.
+            _, length, digest = entry
+            if length != len(data) or digest != sha256(data).hexdigest():
+                metrics.incr("store.read_misses")
+                return self._quarantine(
+                    key, path, "manifest checksum mismatch"
+                )
+        if data[:2] == _GZIP_MAGIC:
             try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                self._drop(key)
+                data = gzip.decompress(data)
+            except (OSError, EOFError, zlib.error):
                 metrics.incr("store.read_misses")
-                return None
-            except OSError as error:
-                metrics.incr("store.read_misses")
-                return self._quarantine(key, path, f"unreadable ({error})")
-            entry = self._index.get(key)
-            if entry is not None:
-                # Manifest length/sha cover the *stored* bytes —
-                # compressed or not — so the integrity check is format-
-                # independent and precedes any decompression.
-                _, length, digest = entry
-                if length != len(data) or digest != sha256(data).hexdigest():
-                    metrics.incr("store.read_misses")
-                    return self._quarantine(
-                        key, path, "manifest checksum mismatch"
-                    )
-            if data[:2] == _GZIP_MAGIC:
-                try:
-                    data = gzip.decompress(data)
-                except (OSError, EOFError, zlib.error):
-                    metrics.incr("store.read_misses")
-                    return self._quarantine(key, path, "corrupt gzip stream")
-            try:
-                payload = json.loads(data.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                metrics.incr("store.read_misses")
-                return self._quarantine(key, path, "unparseable JSON")
+                return self._quarantine(key, path, "corrupt gzip stream")
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            metrics.incr("store.read_misses")
+            return self._quarantine(key, path, "unparseable JSON")
         metrics.incr("store.read_hits")
         return payload
 
@@ -414,45 +413,44 @@ class ResultStore:
         """
         metrics.incr("store.writes")
         path = self.path(key)
-        with metrics.time_phase("store_io"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            blob = canonical_json(payload).encode("utf-8")
-            if self._compress_enabled():
-                metrics.incr("store.compressed_writes")
-                blob = gzip.compress(blob, mtime=0)
-            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            try:
-                temp.write_bytes(blob)
-                if not self._bulk_depth:
-                    # Flush the temp file to disk before the rename becomes
-                    # visible: os.replace is only atomic with respect to the
-                    # *name*, not the data, so without the fsync a crash could
-                    # publish an empty file.  (Bulk mode skips this — the
-                    # manifest checksum catches a torn record on read, which
-                    # then simply re-executes.)
-                    descriptor = os.open(temp, os.O_RDONLY)
-                    try:
-                        metrics.incr("store.fsyncs")
-                        os.fsync(descriptor)
-                    finally:
-                        os.close(descriptor)
-                os.replace(temp, path)
-            except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        blob = canonical_json(payload).encode("utf-8")
+        if self._compress_enabled():
+            metrics.incr("store.compressed_writes")
+            blob = gzip.compress(blob, mtime=0)
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_bytes(blob)
+            if not self._bulk_depth:
+                # Flush the temp file to disk before the rename becomes
+                # visible: os.replace is only atomic with respect to the
+                # *name*, not the data, so without the fsync a crash could
+                # publish an empty file.  (Bulk mode skips this — the
+                # manifest checksum catches a torn record on read, which
+                # then simply re-executes.)
+                descriptor = os.open(temp, os.O_RDONLY)
                 try:
-                    temp.unlink()
-                except OSError:
-                    pass
-                raise
-            relpath = f"{key[:2]}/{path.name}"
-            digest = sha256(blob).hexdigest()
-            line = self._manifest_line(key, relpath, len(blob), digest)
-            if self._bulk_depth:
-                self._pending_lines.append(line)
-                self._pending_dirs.add(path.parent)
-            else:
-                self._sync_directory(path.parent)
-                self._append_manifest([line])
-            self._index[key] = (relpath, len(blob), digest)
+                    metrics.incr("store.fsyncs")
+                    os.fsync(descriptor)
+                finally:
+                    os.close(descriptor)
+            os.replace(temp, path)
+        except BaseException:
+            try:
+                temp.unlink()
+            except OSError:
+                pass
+            raise
+        relpath = f"{key[:2]}/{path.name}"
+        digest = sha256(blob).hexdigest()
+        line = self._manifest_line(key, relpath, len(blob), digest)
+        if self._bulk_depth:
+            self._pending_lines.append(line)
+            self._pending_dirs.add(path.parent)
+        else:
+            self._sync_directory(path.parent)
+            self._append_manifest([line])
+        self._index[key] = (relpath, len(blob), digest)
 
     def _compress_enabled(self):
         if self.compress is not None:
@@ -482,12 +480,11 @@ class ResultStore:
 
     def _flush_bulk(self):
         metrics.incr("store.bulk_flushes")
-        with metrics.time_phase("store_io"):
-            for directory in sorted(self._pending_dirs):
-                self._sync_directory(directory)
-            self._pending_dirs = set()
-            lines, self._pending_lines = self._pending_lines, []
-            self._append_manifest(lines)
+        for directory in sorted(self._pending_dirs):
+            self._sync_directory(directory)
+        self._pending_dirs = set()
+        lines, self._pending_lines = self._pending_lines, []
+        self._append_manifest(lines)
 
     @staticmethod
     def _sync_directory(directory):

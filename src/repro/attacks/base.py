@@ -563,9 +563,7 @@ class Attack:
         locality or a scene cannot be built or would not pay.
         """
         spec = coerce_victim(victim)
-        with get_tracer().span(
-            "attack", attack=self.name, victim=spec.node
-        ), metrics.time_phase("attack_steps"):
+        with get_tracer().span("attack", attack=self.name, victim=spec.node):
             scene = None
             if self.supports_locality:
                 scene = self.build_locality_scene(

@@ -35,7 +35,7 @@ from repro.metrics import (
     prediction_margin,
 )
 from repro.nn import build_model, train_node_classifier
-from repro.obs import metrics
+from repro.obs.tracer import get_tracer
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -114,35 +114,46 @@ def prepare_case(dataset_name, config, seed=None, arch="gcn"):
     """
     seed = config.seed if seed is None else int(seed)
     arch = "gcn" if arch is None else str(arch)
-    with metrics.time_phase("case_prep"):
+    with get_tracer().span("case-prep", dataset=dataset_name):
         graph = load_dataset(dataset_name, scale=config.dataset_scale, seed=seed)
-        split = random_split(graph.num_nodes, seed=seed + 1)
-        rng = np.random.default_rng(seed + 2)
-        model = build_model(
-            arch,
-            graph.num_features,
-            config.hidden,
-            graph.num_classes,
-            rng,
-            config.dropout,
-        )
-        normalized = model.normalize(graph.adjacency)
-        result = train_node_classifier(
-            model,
-            normalized,
-            graph.features,
-            graph.labels,
-            split.train,
-            split.val,
-            split.test,
-            epochs=config.epochs,
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        with no_grad():
-            logits = model(normalized, Tensor(graph.features))
-        exp = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        probabilities = exp / exp.sum(axis=1, keepdims=True)
+        return train_case(graph, config, seed, arch)
+
+
+def train_case(graph, config, seed, arch):
+    """Train an ``arch`` model on ``graph``; the :class:`PreparedCase`.
+
+    The case conventions shared by victims and surrogates: split seeded
+    ``seed + 1``, init/dropout RNG seeded ``seed + 2``, ``config.hidden``
+    and the config's training knobs, clean predictions cached from one
+    no-grad forward pass.
+    """
+    split = random_split(graph.num_nodes, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    model = build_model(
+        arch,
+        graph.num_features,
+        config.hidden,
+        graph.num_classes,
+        rng,
+        config.dropout,
+    )
+    normalized = model.normalize(graph.adjacency)
+    result = train_node_classifier(
+        model,
+        normalized,
+        graph.features,
+        graph.labels,
+        split.train,
+        split.val,
+        split.test,
+        epochs=config.epochs,
+        lr=config.learning_rate,
+        weight_decay=config.weight_decay,
+    )
+    with no_grad():
+        logits = model(normalized, Tensor(graph.features))
+    exp = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    probabilities = exp / exp.sum(axis=1, keepdims=True)
     return PreparedCase(
         graph=graph,
         split=split,

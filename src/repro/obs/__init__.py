@@ -4,17 +4,19 @@ Two complementary instruments, both strictly *out-of-band* — nothing in
 this package ever touches store keys, result payloads or rendered
 matrices, so every golden byte is independent of whether telemetry is on:
 
-* :mod:`repro.obs.metrics` — always-on process-local counters and phase
-  timers (dict increments; cheap enough for the hot path).  Forked
-  pool workers ship their counter deltas back through
+* :mod:`repro.obs.tracer` — spans, the one timer.  Every span adds its
+  duration to the ``phase.<name>.seconds`` / ``.calls`` counters; with
+  ``REPRO_TRACE=1`` (path via ``REPRO_TRACE_PATH``) spans are also
+  written as one JSONL trace file per run.  Span ids are deterministic
+  across pool widths: the parent reserves the per-item ids before
+  forking and workers ship each item's records back in the shard result,
+  appended in input order, so ``jobs=1`` and ``jobs=N`` traces are
+  structurally identical (timing and pids aside).
+* :mod:`repro.obs.metrics` — always-on process-local counters (locked
+  dict increments; cheap enough for the hot path).  Forked pool workers
+  ship their counter deltas back through
   :func:`repro.parallel.parallel_map`, so attribution is correct at any
   ``jobs`` width.
-* :mod:`repro.obs.tracer` — opt-in nested spans written as one JSONL
-  trace file per run (``REPRO_TRACE=1``, path via ``REPRO_TRACE_PATH``).
-  Span ids are deterministic across pool widths: the parent reserves the
-  per-item ids before forking and workers write per-pid segment files
-  merged back in input order, so ``jobs=1`` and ``jobs=N`` traces are
-  structurally identical (timing and pids aside).
 
 :mod:`repro.obs.manifest` summarizes a run (totals, cache ratios,
 slowest cells) into the ``RunManifest`` attached to ``ArenaRun`` /

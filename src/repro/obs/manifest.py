@@ -3,11 +3,13 @@
 A :class:`RunManifest` rides along on :class:`~repro.arena.ArenaRun` and
 :class:`~repro.experiments.table_runner.ComparisonResult` (a
 ``compare=False`` field: two runs with different timings still compare
-equal on their results).  It is built from always-on data — one
-``perf_counter`` pair per cell plus the run's counter delta — so it
-exists whether or not tracing is enabled, and it is strictly
-descriptive: store keys, stored payloads and rendered matrices never
-read it (the byte-identical golden contract).
+equal on their results).  It is built from always-on data — span
+timings and the run's counter delta — so it exists whether or not
+tracing is enabled: ``wall_seconds`` is the run's root span, each cell
+row adds up its ``cell`` spans, and :meth:`RunManifest.phase_seconds`
+reads the ``phase.<span>.seconds`` counters every span feeds.  It is
+strictly descriptive: store keys, stored payloads and rendered matrices
+never read it (the byte-identical golden contract).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ __all__ = ["RunManifest", "build_manifest"]
 class RunManifest:
     """Totals, cache ratios and the slowest cells of one run."""
 
-    #: Wall-clock of the whole run (seconds).
+    #: Wall-clock of the whole run: its root span's seconds.
     wall_seconds: float
     #: One row per timed unit: ``{"label", "seconds", "cached", "executed"}``
     #: (arena cells, or table ``dataset/method`` units).
@@ -51,7 +53,13 @@ class RunManifest:
         )[: int(k)]
 
     def phase_seconds(self):
-        """``{phase: seconds}`` from the ``phase.*.seconds`` counters."""
+        """``{span name: seconds}`` from the ``phase.*.seconds`` counters.
+
+        Spans that run inside pool workers (``unit``, ``attack``,
+        ``explain``) sum worker time, so under ``jobs > 1`` they can
+        exceed ``wall_seconds``; ``defense`` wraps the pool map in the
+        parent and stays parent wall time.
+        """
         phases = {}
         for name, value in self.counters.items():
             if name.startswith("phase.") and name.endswith(".seconds"):

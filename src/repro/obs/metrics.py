@@ -1,9 +1,9 @@
-"""Process-local counters and phase timers (always on, out-of-band).
+"""Process-local counters (always on, out-of-band).
 
 A flat ``name -> number`` dict with three access patterns:
 
 * :func:`incr` / :func:`add` — discrete events and accumulated seconds
-  (``store.writes``, ``lease.stolen``, ``phase.attack_steps.seconds``).
+  (``store.writes``, ``lease.stolen``, ``phase.attack.seconds``).
 * :func:`snapshot` / :func:`delta_since` / :func:`merge` — the
   fork-attribution protocol: a pool worker snapshots at shard start,
   ships ``delta_since(snapshot)`` back with its results, and the parent
@@ -13,9 +13,11 @@ A flat ``name -> number`` dict with three access patterns:
   on the hot path; externals are folded in at :func:`counters` /
   :func:`snapshot` time.
 
-Everything is plain dict arithmetic — no locks (process-local by
-design), no I/O, no dependencies — which is what lets the hot layers
-increment unconditionally while tracing stays opt-in.
+Everything is plain dict arithmetic under one module lock — the job
+server increments from several threads at once, and an unlocked
+read-modify-write loses updates — with no I/O and no dependencies, which
+is what lets the hot layers increment unconditionally while tracing
+stays opt-in.
 
 Counter catalog (the names the platform emits today):
 
@@ -37,17 +39,25 @@ Counter catalog (the names the platform emits today):
 ``locality.arch_fallback``       scenes declined for a victim without exact
                                  locality (GAT)
 ``parallel.items/failures``      units of work through ``parallel_map``
-``phase.<name>.seconds/calls``   :func:`time_phase` blocks: ``case_prep``,
-                                 ``surrogate_training``, ``explainer_fitting``,
-                                 ``attack_steps``, ``defense_eval``,
-                                 ``store_io``
+``phase.<span>.seconds/calls``   every closed :class:`repro.obs.tracer.Span`,
+                                 traced or not: ``arena-run``,
+                                 ``table-run``, ``cell``, ``case-prep``,
+                                 ``surrogate-training``, ``store-read``,
+                                 ``store-write``, ``method``, ``unit``,
+                                 ``attack``, ``explain``, ``defense``,
+                                 ``lease-wait``
 ===============================  =============================================
+
+``phase.*`` seconds are summed where the span ran: ``unit``, ``attack``
+and ``explain`` run inside pool workers, so under ``jobs > 1`` they add
+up worker time and can exceed the run's wall-clock, while ``defense``
+wraps the whole pool map in the parent and stays parent wall time.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
+import os
+import threading
 
 __all__ = [
     "incr",
@@ -58,17 +68,28 @@ __all__ = [
     "merge",
     "reset",
     "register_external",
-    "time_phase",
 ]
 
 _COUNTERS = {}
 #: ``[(prefix, stats_dict), ...]`` — live views merged in at read time.
 _EXTERNALS = []
+_LOCK = threading.Lock()
+
+
+def _reinit_lock_after_fork():
+    """A fresh lock in forked children (the parent's may be held mid-fork)."""
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
 
 
 def incr(name, amount=1):
     """Add ``amount`` to counter ``name`` (created at zero)."""
-    _COUNTERS[name] = _COUNTERS.get(name, 0) + amount
+    with _LOCK:
+        _COUNTERS[name] = _COUNTERS.get(name, 0) + amount
 
 
 add = incr  # seconds accumulate through the same arithmetic
@@ -89,7 +110,8 @@ def register_external(prefix, stats):
 
 def counters():
     """One merged ``name -> value`` snapshot (own counters + externals)."""
-    merged = dict(_COUNTERS)
+    with _LOCK:
+        merged = dict(_COUNTERS)
     for prefix, stats in _EXTERNALS:
         for key, value in stats.items():
             merged[f"{prefix}.{key}"] = merged.get(f"{prefix}.{key}", 0) + value
@@ -117,21 +139,12 @@ def delta_since(before):
 
 def merge(delta):
     """Fold a worker's ``delta_since`` payload into this process."""
-    for name, value in (delta or {}).items():
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + value
+    with _LOCK:
+        for name, value in (delta or {}).items():
+            _COUNTERS[name] = _COUNTERS.get(name, 0) + value
 
 
 def reset():
     """Zero every counter owned by this module (externals untouched)."""
-    _COUNTERS.clear()
-
-
-@contextmanager
-def time_phase(name):
-    """Accumulate a block's wall-clock under ``phase.<name>.seconds``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        incr(f"phase.{name}.seconds", time.perf_counter() - start)
-        incr(f"phase.{name}.calls")
+    with _LOCK:
+        _COUNTERS.clear()

@@ -1,22 +1,26 @@
-"""Nested spans written as one JSONL trace file per run (opt-in).
+"""Spans: the one timer, and the opt-in JSONL trace built from them.
 
-Tracing is **off by default**: the process-global tracer is constructed
-from the environment on first use (``REPRO_TRACE=1`` enables it, with
-the trace path from ``REPRO_TRACE_PATH``, default ``repro_trace.jsonl``)
-and a disabled tracer's :meth:`Tracer.span` returns one shared no-op
-context manager — the hot path pays an attribute check, nothing more
+Every :meth:`Tracer.span` times its block and adds the duration to the
+always-on ``phase.<name>.seconds`` / ``.calls`` counters of
+:mod:`repro.obs.metrics`; that is how ``RunManifest.phase_seconds()``
+splits a run whether or not tracing is on.  Writing the spans out is
+**off by default**: the process-global tracer is constructed from the
+environment on first use (``REPRO_TRACE=1`` enables it, with the trace
+path from ``REPRO_TRACE_PATH``, default ``repro_trace.jsonl``).  A
+disabled tracer's spans carry id ``None``, join no span stack and write
+nothing — the hot path pays two clock reads and two counter increments
 (the overhead guard in ``tests/test_obs.py`` holds this honest).
 
 Span identity is hierarchical and **deterministic across pool widths**:
 ids are dotted paths (``"1"``, ``"1.2"``, ``"1.2.3"``) assigned from
 per-span child counters.  :func:`repro.parallel.parallel_map` reserves
 its items' span ids *before* forking (one counter bump per item, in
-input order), each forked worker opens its items' spans under those
-reserved ids and appends records to a per-pid segment file
-(``<trace>.<pid>.seg``, each record tagged with its item index), and the
-parent merges the segments back in input order once the pool drains.
-``jobs=1`` therefore produces the same spans, ids, parents and order as
-``jobs=N`` — only timings and pids differ.
+input order) and each forked worker opens its items' spans under those
+reserved ids.  A worker keeps its records in memory; ``parallel_map``
+ships each item's records back in the shard result, next to the counter
+delta, and the parent appends them in input order.  ``jobs=1``
+therefore produces the same spans, ids, parents and order as ``jobs=N``
+— only timings and pids differ.
 
 Records are one JSON object per line (see :mod:`repro.obs.schema`)::
 
@@ -30,11 +34,12 @@ children before their parents; consumers rebuild the tree from the
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import threading
 import time
+
+from repro.obs import metrics
 
 __all__ = ["Tracer", "Span", "get_tracer", "start_trace", "stop_trace"]
 
@@ -54,29 +59,18 @@ def _clean_attrs(attrs):
     }
 
 
-class _NoopSpan:
-    """The shared disabled span: every method is a no-op, ``id`` is None."""
-
-    __slots__ = ()
-    id = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def set(self, **attrs):
-        return self
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 class Span:
-    """One live span: context manager that emits its record on exit."""
+    """One span: times its block and, when traced, emits its record on exit.
 
-    __slots__ = ("tracer", "name", "id", "parent", "attrs", "_start", "_t0", "_children")
+    Every span adds its duration to the ``phase.<name>.seconds`` /
+    ``.calls`` counters, traced or not.  A span of a disabled tracer has
+    id ``None``: it joins no span stack and writes no record.
+    """
+
+    __slots__ = (
+        "tracer", "name", "id", "parent", "attrs", "seconds",
+        "_start", "_t0", "_children",
+    )
 
     def __init__(self, tracer, name, span_id, parent_id, attrs):
         self.tracer = tracer
@@ -84,13 +78,16 @@ class Span:
         self.id = span_id
         self.parent = parent_id
         self.attrs = attrs
+        #: The block's duration, set on exit.
+        self.seconds = None
         self._children = 0
         self._start = None
         self._t0 = None
 
     def set(self, **attrs):
         """Attach attributes after entry (e.g. counts known only at exit)."""
-        self.attrs.update(_clean_attrs(attrs))
+        if self.id is not None:
+            self.attrs.update(_clean_attrs(attrs))
         return self
 
     def next_child_id(self):
@@ -98,12 +95,18 @@ class Span:
         return f"{self.id}.{self._children}"
 
     def __enter__(self):
-        self._start = time.time()
+        if self.id is not None:
+            self._start = time.time()
+            self.tracer._stack.append(self)
         self._t0 = time.perf_counter()
-        self.tracer._stack.append(self)
         return self
 
     def __exit__(self, *exc):
+        self.seconds = time.perf_counter() - self._t0
+        metrics.incr(f"phase.{self.name}.seconds", self.seconds)
+        metrics.incr(f"phase.{self.name}.calls")
+        if self.id is None:
+            return False
         stack = self.tracer._stack
         if stack and stack[-1] is self:
             stack.pop()
@@ -116,7 +119,7 @@ class Span:
                 "parent": self.parent,
                 "name": self.name,
                 "start": self._start,
-                "seconds": time.perf_counter() - self._t0,
+                "seconds": self.seconds,
                 "pid": os.getpid(),
                 "attrs": self.attrs,
             }
@@ -140,9 +143,10 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._top_children = 0
-        #: The pid that owns the main trace file; forked children write
-        #: per-pid segment files instead (merged by ``parallel_map``).
+        #: The pid that owns the trace file; forked children buffer their
+        #: records in ``_worker_lines`` for ``parallel_map`` to ship back.
         self._origin_pid = os.getpid()
+        self._worker_lines = []
         if self.enabled and truncate:
             directory = os.path.dirname(self.path)
             if directory:
@@ -156,14 +160,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    @property
-    def _item_index(self):
-        return getattr(self._local, "item_index", None)
-
-    @_item_index.setter
-    def _item_index(self, value):
-        self._local.item_index = value
 
     @property
     def _last_map_spans(self):
@@ -182,9 +178,9 @@ class Tracer:
 
     # -- spans ---------------------------------------------------------------
     def span(self, name, **attrs):
-        """A new child span of the innermost open span (no-op when disabled)."""
+        """A new child span of the innermost open span (untraced when disabled)."""
         if not self.enabled:
-            return _NOOP_SPAN
+            return Span(self, name, None, None, attrs)
         if self._stack:
             parent = self._stack[-1]
             span_id, parent_id = parent.next_child_id(), parent.id
@@ -217,18 +213,12 @@ class Tracer:
             return [parent.next_child_id() for _ in range(count)]
         return [self._next_top_id() for _ in range(count)]
 
-    def item_span(self, span_id, index, name="unit", **attrs):
-        """Open an item's span under its pre-reserved id.
-
-        Also marks the tracer as "inside item ``index``" so every record
-        emitted from a forked worker carries the item index its segment
-        line is merged by.
-        """
-        if not self.enabled or span_id is None:
-            return _NOOP_SPAN
-        parent_id = self._stack[-1].id if self._stack else None
-        span = Span(self, name, span_id, parent_id, _clean_attrs(attrs))
-        return _ItemContext(self, span, index)
+    def item_span(self, span_id):
+        """An item's ``unit`` span under its pre-reserved id (or ``None``)."""
+        parent_id = None
+        if span_id is not None and self._stack:
+            parent_id = self._stack[-1].id
+        return Span(self, "unit", span_id, parent_id, {})
 
     def store_map_spans(self, spans):
         """Record the span ids of the most recent ``parallel_map``'s items."""
@@ -239,85 +229,27 @@ class Tracer:
         spans, self._last_map_spans = self._last_map_spans, None
         return spans
 
+    def take_worker_lines(self):
+        """Take (and clear) the record lines a forked worker has buffered."""
+        lines, self._worker_lines = self._worker_lines, []
+        return lines
+
     # -- output --------------------------------------------------------------
     def _emit(self, record):
-        if not self.enabled:
-            return
-        if os.getpid() == self._origin_pid:
-            target = self.path
-        else:
-            # Forked worker: own segment file, records tagged with the
-            # item index so the parent can merge in input order.
-            target = f"{self.path}.{os.getpid()}.seg"
-            if self._item_index is not None:
-                record = dict(record, item=self._item_index)
         line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            with open(target, "a", encoding="utf-8") as handle:
-                handle.write(line)
+        if os.getpid() != self._origin_pid:
+            # Forked pool worker: parallel_map ships the line back.
+            self._worker_lines.append(line)
+        else:
+            self.write_lines([line])
 
-    def merge_segments(self):
-        """Fold worker segment files into the main trace, in input order.
-
-        Stable sort by item index: records of item 0 land before item 1
-        regardless of worker/shard, and each item's records keep their
-        within-worker emission order — so the merged trace is the serial
-        trace, modulo timings and pids.
-        """
-        if not self.enabled:
+    def write_lines(self, lines):
+        """Append record lines to the trace file."""
+        if not self.enabled or not lines:
             return
-        records = []
-        segments = sorted(glob.glob(f"{self.path}.*.seg"))
-        for segment in segments:
-            try:
-                with open(segment, "r", encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if line:
-                            records.append(json.loads(line))
-            except (OSError, ValueError):
-                continue
-        records.sort(key=lambda record: record.get("item", 0))
-        if records:
+        with self._lock:
             with open(self.path, "a", encoding="utf-8") as handle:
-                for record in records:
-                    record.pop("item", None)
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        for segment in segments:
-            try:
-                os.unlink(segment)
-            except OSError:
-                pass
-
-
-class _ItemContext:
-    """An item's span plus the tracer's item-index scope around it."""
-
-    __slots__ = ("_tracer", "span", "_index")
-
-    def __init__(self, tracer, span, index):
-        self._tracer = tracer
-        self.span = span
-        self._index = index
-
-    @property
-    def id(self):
-        return self.span.id
-
-    def set(self, **attrs):
-        self.span.set(**attrs)
-        return self
-
-    def __enter__(self):
-        self._tracer._item_index = self._index
-        self.span.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            return self.span.__exit__(*exc)
-        finally:
-            self._tracer._item_index = None
+                handle.writelines(lines)
 
 
 # -- the process-global tracer ------------------------------------------------

@@ -19,10 +19,11 @@ Observability rides the same protocol (see :mod:`repro.obs`):
 * **Counters** — each worker snapshots :mod:`repro.obs.metrics` at shard
   start and ships its delta back with the results; the parent merges, so
   counter totals are exact at any ``jobs`` width.
-* **Spans** — with tracing enabled, the parent *reserves* one span id per
-  item (in input order) before forking; workers open each item's ``unit``
-  span under its reserved id and append records to a per-pid segment file,
-  which the parent merges back in input order once the pool drains.  A
+* **Spans** — every item runs under a ``unit`` span.  With tracing
+  enabled, the parent *reserves* one span id per item (in input order)
+  before forking; workers open each item's span under its reserved id,
+  buffer the item's records and ship them back in the shard result next
+  to the counter delta, and the parent appends them in input order.  A
   ``jobs=N`` trace is therefore structurally identical to ``jobs=1``.
 * **Failures** — a worker exception re-raises in the *parent* with the
   failing unit of work attached (``describe(item)``, or the item's
@@ -116,19 +117,22 @@ def _run_shard(indices):
     tracer = get_tracer()
     before = metrics.snapshot()
     results = []
+    traced = []
     failure = None
     for index in indices:
         span_id = spans[index] if spans is not None else None
         metrics.incr("parallel.items")
         try:
-            with tracer.item_span(span_id, index):
+            with tracer.item_span(span_id):
                 results.append((index, fn(items[index])))
         except Exception as error:
             # Fail fast on this shard; the parent re-raises the earliest
             # failing item with its work-unit context attached.
             failure = _failure(index, items[index], describe, span_id, error)
+        traced.append((index, tracer.take_worker_lines()))
+        if failure is not None:
             break
-    return results, failure, metrics.delta_since(before)
+    return results, failure, metrics.delta_since(before), traced
 
 
 def parallel_map(fn, items, jobs=1, describe=None):
@@ -144,7 +148,7 @@ def parallel_map(fn, items, jobs=1, describe=None):
     items = list(items)
     jobs = max(1, int(jobs))
     tracer = get_tracer()
-    spans = tracer.reserve_item_spans(len(items)) if tracer.enabled else None
+    spans = tracer.reserve_item_spans(len(items))
     if (
         jobs == 1
         or len(items) <= 1
@@ -156,7 +160,7 @@ def parallel_map(fn, items, jobs=1, describe=None):
             span_id = spans[index] if spans is not None else None
             metrics.incr("parallel.items")
             try:
-                with tracer.item_span(span_id, index):
+                with tracer.item_span(span_id):
                     results.append(fn(item))
             except Exception as error:
                 metrics.incr("parallel.failures")
@@ -176,18 +180,20 @@ def parallel_map(fn, items, jobs=1, describe=None):
             shard_results = pool.map(_run_shard, shards)
     finally:
         _WORKER_STATE.clear()
-        # Fold the workers' per-pid trace segments back into the main
-        # file in input order — also on failure, so a partial trace of a
-        # crashed run still shows what ran.
-        tracer.merge_segments()
     merged = [None] * len(items)
     failures = []
-    for results, failure, delta in shard_results:
+    traced = []
+    for results, failure, delta, shard_traced in shard_results:
         metrics.merge(delta)
+        traced.extend(shard_traced)
         for index, value in results:
             merged[index] = value
         if failure is not None:
             failures.append(failure)
+    # The items' span records in input order — also on failure, so a
+    # partial trace of a crashed run still shows what ran.
+    traced.sort(key=lambda entry: entry[0])
+    tracer.write_lines([line for _, lines in traced for line in lines])
     if failures:
         _reraise(min(failures, key=lambda failure: failure[0]))
     tracer.store_map_spans(spans)

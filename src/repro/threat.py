@@ -37,12 +37,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.api.specs import ThreatModel
 from repro.attacks.base import Attack, AttackResult, VictimSpec, coerce_victim
-from repro.datasets import random_split
-from repro.obs import metrics
+from repro.obs.tracer import get_tracer
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -105,10 +102,11 @@ def resolve_threat(threat, config, seed, arch="gcn"):
 def surrogate_case(case, hidden=None, seed=None, arch=None, memo=None):
     """An attacker-side :class:`~repro.experiments.PreparedCase`.
 
-    Trains an independent model on the *observed* graph (``case.graph``),
-    mirroring :func:`repro.experiments.prepare_case`'s conventions
-    exactly — split seeded ``seed + 1``, init/dropout RNG seeded
-    ``seed + 2``, the config's training knobs — so a surrogate with the
+    Trains an independent model on the *observed* graph (``case.graph``)
+    through the victim's own training code,
+    :func:`repro.experiments.pipeline.train_case` — split seeded
+    ``seed + 1``, init/dropout RNG seeded ``seed + 2``, the config's
+    training knobs — so a surrogate with the
     victim's own ``seed``, ``hidden`` and ``arch`` reproduces the victim
     model bit-for-bit, and any other setting gives a genuinely
     independent estimator of the same decision surface.  ``arch``
@@ -120,9 +118,7 @@ def surrogate_case(case, hidden=None, seed=None, arch=None, memo=None):
     per ``(case, hidden, seed, arch)``; the victim case is pinned in the
     value so its ``id`` key cannot be recycled while the entry is alive.
     """
-    from repro.autodiff.tensor import Tensor, no_grad
-    from repro.experiments.pipeline import PreparedCase
-    from repro.nn import build_model, train_node_classifier
+    from repro.experiments.pipeline import train_case
 
     config = case.config
     hidden = config.hidden if hidden is None else int(hidden)
@@ -132,42 +128,10 @@ def surrogate_case(case, hidden=None, seed=None, arch=None, memo=None):
     if memo is not None and key in memo:
         return memo[key][1]
 
-    graph = case.graph
-    with metrics.time_phase("surrogate_training"):
-        split = random_split(graph.num_nodes, seed=seed + 1)
-        rng = np.random.default_rng(seed + 2)
-        model = build_model(
-            arch, graph.num_features, hidden, graph.num_classes, rng,
-            config.dropout,
+    with get_tracer().span("surrogate-training", arch=arch):
+        surrogate = train_case(
+            case.graph, replace(config, hidden=hidden), seed, arch
         )
-        normalized = model.normalize(graph.adjacency)
-        result = train_node_classifier(
-            model,
-            normalized,
-            graph.features,
-            graph.labels,
-            split.train,
-            split.val,
-            split.test,
-            epochs=config.epochs,
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        with no_grad():
-            logits = model(normalized, Tensor(graph.features))
-        exp = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        probabilities = exp / exp.sum(axis=1, keepdims=True)
-    surrogate = PreparedCase(
-        graph=graph,
-        split=split,
-        model=model,
-        probabilities=probabilities,
-        predictions=probabilities.argmax(axis=1),
-        test_accuracy=result.test_accuracy,
-        config=replace(config, hidden=hidden),
-        seed=seed,
-        arch=arch,
-    )
     if memo is not None:
         memo[key] = (case, surrogate)
     return surrogate

@@ -42,8 +42,9 @@ EXPERIMENT = TableExperiment(dataset="cora", explainer="gnn", methods=("FGA-T",)
 def shared_cases():
     """One trained model shared by every run in this module."""
     cases = {}
-    # Warm the memo before any traced run so jobs=1 and jobs=4 traces
-    # both see an (equally) instant case-prep span.
+    # Warm the memo before any traced run so neither the jobs=1 nor the
+    # jobs=4 trace holds a case-prep span (prepare_case opens it, and
+    # only on a memo miss).
     session = Session(config=CONFIG, jobs=1, cases=cases)
     session.prepared("cora")
     return cases
