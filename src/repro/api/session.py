@@ -363,6 +363,11 @@ class Session:
         derived victims, fitted PGExplainers) across sessions in one
         process — the resume tests and benchmarks reuse models this way.
 
+    One thread per process runs Sessions: the autodiff grad mode and the
+    tracer's open-span stack are process-wide.  Concurrent runs are
+    processes — ``jobs`` forks the per-victim loops, and separate
+    processes (CLI runs, job servers) share a store through its leases.
+
     The compute backend is chosen by ``REPRO_BACKEND`` alone, when each
     attack is built (see :class:`repro.attacks.base.Attack`), so it is
     not part of the prepared-case memo key.  Dense and sparse runs agree

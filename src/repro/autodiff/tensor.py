@@ -24,7 +24,6 @@ Design notes
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 
 import numpy as np
@@ -46,32 +45,32 @@ __all__ = [
     "arange",
 ]
 
-# Graph recording is a per-thread mode: the service's worker pool runs
-# concurrent attacks in threads, and a process-global flag would let one
-# thread's no_grad() evaluation silently stop a sibling thread's forward
-# pass from recording (grad() then fails with "input was not reached").
-_GRAD_MODE = threading.local()
+# Graph recording is one process-wide flag: one thread per process runs
+# Sessions (parallel work is forked processes, each with its own copy).
+_GRAD_ENABLED = True
 
 
 def is_grad_enabled():
-    """Return whether graph recording is enabled in this thread."""
-    return getattr(_GRAD_MODE, "enabled", True)
+    """Return whether graph recording is enabled."""
+    return _GRAD_ENABLED
 
 
 class _GradMode:
-    """Context manager toggling this thread's graph recording."""
+    """Context manager toggling graph recording."""
 
     def __init__(self, enabled):
         self._enabled = enabled
         self._previous = None
 
     def __enter__(self):
-        self._previous = is_grad_enabled()
-        _GRAD_MODE.enabled = self._enabled
+        global _GRAD_ENABLED
+        self._previous = _GRAD_ENABLED
+        _GRAD_ENABLED = self._enabled
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        _GRAD_MODE.enabled = self._previous
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._previous
         return False
 
 

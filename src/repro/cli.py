@@ -58,7 +58,8 @@ def build_parser():
         type=int,
         default=1,
         help="worker processes for per-victim attack/inspect loops "
-        "(results are identical for any value; speedup needs >1 CPUs)",
+        "(results are identical for any value; speedup needs >1 CPUs); "
+        "serve takes this count from its own --workers instead",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,8 +186,9 @@ def build_parser():
         "--workers",
         type=int,
         default=2,
-        help="job worker threads (concurrent arena runs; overlapping "
-        "grids dedupe through store leases)",
+        help="worker processes each job's per-victim loops fan out over "
+        "(the --jobs pool); jobs run one at a time in submission order, "
+        "and overlapping grids dedupe through store leases",
     )
     trace = sub.add_parser(
         "trace",
@@ -385,13 +387,14 @@ def _serve(config, args):
 
     from repro.service import ArenaService
 
+    if args.jobs != 1:
+        raise SystemExit("error: serve takes its process count from --workers")
     service = ArenaService(
         args.store,
         config=config,
         host=args.host,
         port=args.port,
         workers=args.workers,
-        jobs=args.jobs,
     ).start()
     print(
         f"repro service listening on {service.url} "

@@ -14,8 +14,9 @@ A flat ``name -> number`` dict with three access patterns:
   :func:`snapshot` time.
 
 Everything is plain dict arithmetic under one module lock — the job
-server increments from several threads at once, and an unlocked
-read-modify-write loses updates — with no I/O and no dependencies, which
+server's HTTP handler threads and lease heartbeats increment alongside
+the Session thread, and an unlocked read-modify-write loses updates —
+with no I/O and no dependencies, which
 is what lets the hot layers increment unconditionally while tracing
 stays opt-in.
 

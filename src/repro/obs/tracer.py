@@ -133,14 +133,14 @@ class Tracer:
     def __init__(self, path=None, truncate=True):
         self.path = None if path is None else str(path)
         self.enabled = self.path is not None
-        #: Span state is *per thread* (the service runs one ``Session``
-        #: per worker thread; each thread owns its own open-span stack
-        #: and parallel_map bookkeeping), while top-level span ids and
-        #: file appends are shared — guarded by ``_lock``.  Forked pool
-        #: workers keep the forking thread's state (its thread-local
-        #: values survive the fork) and get a fresh lock via the
-        #: ``os.register_at_fork`` hook below.
-        self._local = threading.local()
+        #: The open-span stack and the last map's item span ids are plain
+        #: attributes: one thread per process runs Sessions, and forked
+        #: pool workers inherit the forking thread's copies.  ``_lock``
+        #: still serializes top-level span ids and file appends, so no
+        #: other thread of the process can tear a record; forked children
+        #: get a fresh one via the ``os.register_at_fork`` hook below.
+        self._stack = []
+        self._last_map_spans = None
         self._lock = threading.Lock()
         self._top_children = 0
         #: The pid that owns the trace file; forked children buffer their
@@ -152,22 +152,6 @@ class Tracer:
             if directory:
                 os.makedirs(directory, exist_ok=True)
             open(self.path, "w").close()
-
-    # -- per-thread span state -----------------------------------------------
-    @property
-    def _stack(self):
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    @property
-    def _last_map_spans(self):
-        return getattr(self._local, "last_map_spans", None)
-
-    @_last_map_spans.setter
-    def _last_map_spans(self, value):
-        self._local.last_map_spans = value
 
     @classmethod
     def from_env(cls):
@@ -260,7 +244,7 @@ _TRACER = None
 def _reinit_lock_after_fork():
     """Replace the tracer's lock in forked children.
 
-    A pool fork can land while another thread (a service worker, a lease
+    A pool fork can land while another thread (an HTTP handler, a lease
     heartbeat) holds the tracer lock in the parent; the child would then
     deadlock on its copied, forever-held lock.  The child is
     single-threaded at birth, so a fresh lock is always correct.

@@ -24,7 +24,8 @@ Endpoint reference
     ``{"scenario": {<ScenarioSpec dict>}, "defenses": [...]}`` for one
     canonical cell.  Optional: ``fresh``, ``lease_ttl``,
     ``poll_interval``.  Returns 202 ``{"job", "state", "cells"}``;
-    400 on unknown axes/attacks/defenses, 503 once shutdown has begun.
+    400 on unknown axes/attacks/defenses or a malformed body or
+    ``Content-Length``, 503 once shutdown has begun.
 ``GET /jobs/<id>``
     Status snapshot: state (``queued``/``running``/``done``/``failed``),
     event count, executed/loaded/deferred totals and the final
@@ -33,24 +34,29 @@ Endpoint reference
     Server-Sent Events stream of the run's typed
     :mod:`repro.api.events` dicts (``event:`` is the class name,
     ``data:`` its ``to_dict`` JSON, ``id:`` the event index).  Replays
-    from the start (or ``?since=<n>``), then follows live and closes
-    after the terminal ``RunCompleted``; keep-alive comments flow while
-    the job is quiet.  Decode with
+    from the start (or ``?since=<n>``, a non-negative index; 400
+    otherwise), then follows live and closes after the terminal
+    ``RunCompleted``; keep-alive comments flow while the job is quiet.  Decode with
     :func:`repro.api.events.event_from_dict` — or use
     :meth:`ServiceClient.events`, which does.
 ``GET /cells/<key>``
     The raw stored record for one content-addressed cell key, straight
     from the store (no job required); 404 when absent.
 ``GET /healthz``
-    Liveness + introspection: worker/queue sizes, per-state job counts,
-    store record count, and the :mod:`repro.obs.metrics` counters.
+    Liveness + introspection: pool width (``workers``), queue depth,
+    per-state job counts, store record count, and the
+    :mod:`repro.obs.metrics` counters.
 
-Execution semantics: every job drains ``Session.run(ArenaExperiment)``
-on a worker thread, so SSE event sequences match an in-process run
-event-for-event (modulo span ids and timings).  Concurrent jobs —
-including jobs on *other* servers or hosts sharing the store — execute
-each unique cell exactly once via the store's advisory leases; losers
-emit ``CellDeferred`` and load the winner's results.
+Execution semantics: one worker thread drains jobs in submission order,
+each through ``Session.run(ArenaExperiment)`` on a plain ``Session``
+whose per-victim loops fan out over ``--workers`` forked processes (the
+CLI's ``--jobs`` pool), so SSE event sequences match an in-process run
+event-for-event (modulo span ids and timings) and each job's manifest
+counts only its own work.  One thread per process runs Sessions;
+concurrent runs are processes.  Jobs on *other* servers or hosts sharing
+the store execute each unique cell exactly once via the store's advisory
+leases; losers emit ``CellDeferred`` and load the winner's results, and
+a later job on the same server loads cells an earlier one wrote.
 """
 
 from repro.service.client import ServiceClient, ServiceError, grid_payload

@@ -1,4 +1,4 @@
-"""Jobs and the lease-deduped worker pool behind the arena service.
+"""Jobs and the one-thread job queue behind the arena service.
 
 A :class:`Job` is one submitted :class:`~repro.api.specs.ArenaExperiment`
 plus its accumulated event log (the ``to_dict`` form of every
@@ -6,21 +6,21 @@ plus its accumulated event log (the ``to_dict`` form of every
 endpoint streams and what :func:`repro.api.events.event_from_dict`
 decodes back into typed objects).
 
-A :class:`JobQueue` owns N worker threads, each draining submitted jobs
-through ``Session.run``.  Deduplication needs no scheduler logic: every
-cell executes under the store's advisory lease (PR 7), so two queued
-jobs over overlapping grids — or this server and any other process or
-host sharing the store — execute each unique cell exactly once, with
-the loser surfacing the standard ``CellDeferred`` events and loading the
-winner's committed results.  Case preparation (model training) is
-serialized across workers through one shared ``cases`` memo, so a model
-is trained once per (dataset, hidden, seed, config) no matter how many
-jobs need it.
+A :class:`JobQueue` owns one worker thread that drains submitted jobs
+in FIFO order, each through a plain ``Session(config, jobs=workers,
+cases=…)``: a job's parallelism is the fork pool its per-victim loops
+fan out over, the same mechanism the CLI's ``--jobs`` uses.  One thread
+per process runs Sessions; concurrent runs are processes.  So the
+prepared-case memo (``cases``) is shared by every job without a lock
+(each model trains once per configuration), and a job's ``RunManifest``
+counters are exactly its own traffic.
 
-Counter caveat: :mod:`repro.obs.metrics` is process-global, so the
-counter deltas inside a job's ``RunManifest`` include any concurrently
-running jobs' traffic.  Wall-clock, per-cell rows and the run's own
-executed/loaded totals stay exact.
+Deduplication needs no scheduler logic: every cell executes under the
+store's advisory lease, so a job over cells an earlier job already wrote
+loads them, and this server and any other process or host sharing the
+store execute each unique cell exactly once — the loser surfacing the
+standard ``CellDeferred`` events and loading the winner's committed
+results.
 """
 
 from __future__ import annotations
@@ -125,41 +125,30 @@ class Job:
 
 
 class JobQueue:
-    """N worker threads draining jobs through one shared-cache Session.
+    """One worker thread draining jobs, in FIFO order, through ``Session.run``.
 
-    Every worker builds its own :class:`~repro.api.Session` handle and
-    :class:`~repro.arena.store.ResultStore` instance over the shared
-    ``store_root`` — stores are multi-writer by design — while the
-    prepared-case memo (``cases``) is shared across all workers and all
-    jobs, with preparation serialized by a lock so each model trains
-    exactly once per configuration.
+    ``workers`` is the process count each job's per-victim loops fan out
+    over (``Session(jobs=workers)``), not a number of concurrent jobs:
+    one thread per process runs Sessions, and concurrent runs are
+    processes (other servers or CLI runs sharing ``store_root`` — stores
+    are multi-writer by design).  Every job gets a fresh
+    :class:`~repro.arena.store.ResultStore` handle and shares the
+    prepared-case memo ``cases`` with every other job.
     """
 
-    def __init__(
-        self,
-        store_root,
-        config=None,
-        workers=2,
-        jobs=1,
-        cases=None,
-    ):
+    def __init__(self, store_root, config=None, workers=2, cases=None):
         self.store_root = str(store_root)
         self.config = config
-        self.session_jobs = max(1, int(jobs))
+        self.workers = max(1, int(workers))
         self.cases = {} if cases is None else cases
-        self._prep_lock = threading.RLock()
         self._jobs = {}
         self._jobs_lock = threading.Lock()
         self._queue = queue.Queue()
         self._accepting = True
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"arena-worker-{index}", daemon=True
-            )
-            for index in range(max(1, int(workers)))
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(
+            target=self._worker, name="arena-worker", daemon=True
+        )
+        self._thread.start()
 
     # -- intake --------------------------------------------------------------
     @property
@@ -191,12 +180,8 @@ class JobQueue:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
-    @property
-    def workers(self):
-        return len(self._threads)
-
     def depth(self):
-        """Approximate number of jobs waiting for a worker."""
+        """Approximate number of jobs waiting for the worker."""
         return self._queue.qsize()
 
     # -- execution -----------------------------------------------------------
@@ -205,27 +190,19 @@ class JobQueue:
             job = self._queue.get()
             if job is None:
                 return
-            try:
-                self._run_job(job)
-            finally:
-                self._queue.task_done()
-
-    def _session(self):
-        return _shared_cache_session_class()(
-            config=self.config,
-            jobs=self.session_jobs,
-            cases=self.cases,
-            prep_lock=self._prep_lock,
-        )
+            self._run_job(job)
 
     def _run_job(self, job):
+        from repro.api import Session
         from repro.api.events import RunCompleted
         from repro.api.specs import ArenaExperiment
         from repro.arena.store import ResultStore
 
         job.mark(RUNNING)
         try:
-            session = self._session()
+            session = Session(
+                config=self.config, jobs=self.workers, cases=self.cases
+            )
             experiment = ArenaExperiment(
                 grid=job.grid,
                 store=ResultStore(self.store_root),
@@ -252,14 +229,14 @@ class JobQueue:
 
     # -- shutdown ------------------------------------------------------------
     def close(self, drain=True, timeout=None):
-        """Stop intake and shut the pool down.
+        """Stop intake and shut the worker thread down.
 
         ``drain=True`` (the graceful path) lets every queued and running
         job finish — their leases are released by the normal execution
         path, so a restarted server over the same store resumes with
         zero re-executed cells.  ``drain=False`` fails jobs still
-        waiting for a worker (running jobs always complete — attacks are
-        not interruptible mid-cell) before joining the pool.
+        waiting in the queue (the running job always completes — attacks
+        are not interruptible mid-cell) before joining the worker.
         """
         self._accepting = False
         if not drain:
@@ -269,45 +246,6 @@ class JobQueue:
                 except queue.Empty:
                     break
                 job.mark(FAILED, error="server shut down before execution")
-                self._queue.task_done()
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout)
+        self._queue.put(None)
+        self._thread.join(timeout)
 
-
-_SHARED_SESSION_CLASS = None
-
-
-def _shared_cache_session_class():
-    """The Session subclass that serializes case preparation across threads.
-
-    Built lazily (``repro.api.session`` pulls in numpy and the whole
-    stack) and memoized.  Preparation is deterministic and memoized in
-    the shared ``cases`` dict; the lock prevents two workers from
-    training the same model concurrently (wasted work, not wrong
-    results).  All other Session behavior is inherited unchanged.
-    """
-    global _SHARED_SESSION_CLASS
-    if _SHARED_SESSION_CLASS is None:
-        from repro.api.session import Session
-
-        class _SharedCacheSession(Session):
-            def __init__(self, *args, prep_lock=None, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._prep_lock = prep_lock or threading.RLock()
-
-            def prepared(self, *args, **kwargs):
-                with self._prep_lock:
-                    return super().prepared(*args, **kwargs)
-
-            def pg_explainer(self, *args, **kwargs):
-                with self._prep_lock:
-                    return super().pg_explainer(*args, **kwargs)
-
-            def surrogate_case(self, *args, **kwargs):
-                with self._prep_lock:
-                    return super().surrogate_case(*args, **kwargs)
-
-        _SHARED_SESSION_CLASS = _SharedCacheSession
-    return _SHARED_SESSION_CLASS

@@ -13,8 +13,8 @@ surfaced by ``python -m repro describe``):
 * ``GET /cells/<key>`` — raw cached store record, at store-read speed.
 * ``GET /healthz`` — worker/queue/job/store counters.
 
-The server owns a :class:`~repro.service.jobs.JobQueue`; everything the
-workers execute goes through the public ``Session.run`` path, so SSE
+The server owns a :class:`~repro.service.jobs.JobQueue`; every job its
+worker thread executes goes through the public ``Session.run`` path, so SSE
 streams carry byte-for-byte the events an in-process run would yield
 (modulo span ids and timings).
 """
@@ -132,6 +132,13 @@ def _grid_from_payload(payload, config):
 class ArenaService:
     """One arena job server over one result store.
 
+    Jobs run one at a time, in submission order, on the queue's single
+    worker thread; ``workers`` is the process count each job's
+    per-victim loops fan out over (``Session(jobs=workers)``), the same
+    fork pool the CLI's ``--jobs`` uses.  Concurrent runs are separate
+    processes — another server or CLI run sharing ``store`` — which the
+    store's leases keep to exactly one execution per cell.
+
     ``port=0`` binds an ephemeral port (read it back from ``.port`` —
     the tests and the quickstart example do).  Use as a context manager
     or call :meth:`start`/:meth:`close` explicitly; ``close(drain=True)``
@@ -141,22 +148,9 @@ class ArenaService:
     """
 
     def __init__(
-        self,
-        store,
-        config=None,
-        host="127.0.0.1",
-        port=0,
-        workers=2,
-        jobs=1,
-        cases=None,
+        self, store, config=None, host="127.0.0.1", port=0, workers=2, cases=None
     ):
-        self.queue = JobQueue(
-            store,
-            config=config,
-            workers=workers,
-            jobs=jobs,
-            cases=cases,
-        )
+        self.queue = JobQueue(store, config=config, workers=workers, cases=cases)
         self.store_root = self.queue.store_root
         handler = type("_BoundHandler", (_Handler,), {"service": self})
         self.httpd = ThreadingHTTPServer((host, int(port)), handler)
@@ -181,7 +175,7 @@ class ArenaService:
         return self
 
     def close(self, drain=True, timeout=None):
-        """Stop intake, settle the worker pool, shut the listener down."""
+        """Stop intake, settle the job queue, shut the listener down."""
         if self._closed:
             return
         self._closed = True
@@ -281,7 +275,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadRequest("Content-Length must be a non-negative integer")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _BadRequest("empty request body")
@@ -345,7 +344,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             index = int(query.get("since", ["0"])[0])
         except ValueError:
-            self._error(400, '"since" must be an integer event index')
+            index = -1
+        if index < 0:
+            self._error(400, '"since" must be a non-negative event index')
             return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")

@@ -10,7 +10,7 @@ TTL still executes exactly once under contention.
 
 from __future__ import annotations
 
-import threading
+import multiprocessing
 import time
 from dataclasses import replace
 
@@ -103,7 +103,7 @@ class TestSlowCellExecutesOnce:
     def test_execution_outliving_ttl_is_not_double_run(
         self, tmp_path, monkeypatch
     ):
-        """Two contending runs, execution slower than the lease TTL.
+        """Two contending processes, execution slower than the lease TTL.
 
         The winner's heartbeat keeps renewing the 0.3s lease through a
         ~1s execution; the loser defers, polls, and loads the committed
@@ -121,24 +121,30 @@ class TestSlowCellExecutesOnce:
         monkeypatch.setattr(Session, "_execute_missing", slow_execute)
 
         store_root = tmp_path / "store"
-        runs = [None, None]
+        ctx = multiprocessing.get_context("fork")
+        outcomes = ctx.Queue()
 
         def contend(slot):
+            # The forked child inherits the pre-trained cases and the
+            # slowed-down ``_execute_missing``.
             session = Session(config=CONFIG, cases=cases)
-            runs[slot] = session.arena(
+            run = session.arena(
                 GRID,
                 ResultStore(store_root),
                 lease_ttl=0.3,
                 poll_interval=0.05,
             )
+            outcomes.put((slot, run))
 
-        threads = [
-            threading.Thread(target=contend, args=(slot,)) for slot in (0, 1)
+        processes = [
+            ctx.Process(target=contend, args=(slot,)) for slot in (0, 1)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        for process in processes:
+            process.start()
+        runs = dict(outcomes.get(timeout=300) for _ in processes)
+        for process in processes:
+            process.join(timeout=120)
+            assert process.exitcode == 0
 
         total_executed = runs[0].executed + runs[1].executed
         total_loaded = runs[0].loaded + runs[1].loaded

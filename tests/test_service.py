@@ -5,8 +5,9 @@ The acceptance bar from the PR issue, pinned as tests:
 * SSE event sequences match an in-process ``Session.run`` sequence
   event-for-event (modulo span ids and timings).
 * A warm resubmit reports ``executed 0`` with every victim loaded.
-* Two concurrent jobs over overlapping grids — and a second server
-  process sharing the store — execute each unique cell exactly once.
+* Two queued jobs over overlapping grids — and a second server process
+  sharing the store — execute each unique cell exactly once, and each
+  job's manifest counts exactly its own store writes.
 * Graceful shutdown drains in-flight jobs and releases every store
   lease, so a restarted server resumes with zero re-executed cells.
 """
@@ -14,11 +15,14 @@ The acceptance bar from the PR issue, pinned as tests:
 from __future__ import annotations
 
 import glob
+import http.client
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from dataclasses import replace
@@ -35,7 +39,7 @@ from repro.api.events import (
 )
 from repro.arena import ResultStore, ScenarioGrid
 from repro.experiments import SCALE_PRESETS
-from repro.service import ArenaService, ServiceClient, ServiceError
+from repro.service import ArenaService, JobQueue, ServiceClient, ServiceError
 
 #: Trimmed to seconds: tiny model, three victims, cheap attacks.
 CONFIG = replace(
@@ -290,7 +294,7 @@ class TestExactlyOnce:
     def test_concurrent_overlapping_jobs_execute_each_cell_once(
         self, tmp_path, shared_cases
     ):
-        """Two jobs over overlapping grids on one two-worker server."""
+        """Two jobs over overlapping grids queued on one server."""
         overlap = ScenarioGrid(
             attacks=("FGA-T", "DICE"), defenses=("none",),
             budget_caps=(2,), seeds=(0,),
@@ -308,26 +312,92 @@ class TestExactlyOnce:
         assert b["executed"] + b["loaded"] == 6
         assert len(ResultStore(tmp_path / "store").keys()) == 6
 
+    def test_per_job_manifests_are_exact(self, tmp_path, shared_cases):
+        """Overlapping duplicate jobs: each manifest counts only its writes."""
+        overlap = ScenarioGrid(
+            attacks=("FGA-T", "DICE"), defenses=("none",),
+            budget_caps=(2,), seeds=(0,),
+        )
+        subset = ScenarioGrid(
+            attacks=("DICE",), defenses=("none",),
+            budget_caps=(2,), seeds=(0,),
+        )
+        store_root = tmp_path / "store"
+        with ArenaService(
+            store_root, config=CONFIG, workers=2, cases=shared_cases
+        ) as service:
+            client = ServiceClient(service.url)
+            jobs = [
+                client.submit(grid=grid, poll_interval=0.05)
+                for grid in (overlap, subset, overlap)
+            ]
+            statuses = [client.wait(job) for job in jobs]
+        writes = [
+            status["manifest"]["counters"].get("store.writes", 0)
+            for status in statuses
+        ]
+        assert writes == [status["executed"] for status in statuses]
+        assert sum(writes) == len(ResultStore(store_root).keys())
+
     def test_second_server_process_shares_the_store(
         self, tmp_path, shared_cases
     ):
-        """Two *servers* (separate queues) over one store, same grid."""
+        """Two *servers* (separate processes) over one store, same grid."""
         store_root = tmp_path / "store"
-        with ArenaService(
-            store_root, config=CONFIG, workers=1, cases=shared_cases
-        ) as one, ArenaService(
-            store_root, config=CONFIG, workers=1, cases=shared_cases
-        ) as two:
-            job_a = ServiceClient(one.url).submit(
-                grid=GRID, poll_interval=0.05
-            )
-            job_b = ServiceClient(two.url).submit(
-                grid=GRID, poll_interval=0.05
-            )
-            a = ServiceClient(one.url).wait(job_a)
-            b = ServiceClient(two.url).wait(job_b)
+        ctx = multiprocessing.get_context("fork")
+        urls = ctx.Queue()
+        stop = ctx.Event()
+
+        def serve():
+            # The forked child inherits the parent's trained cases.
+            with ArenaService(
+                store_root, config=CONFIG, workers=1, cases=shared_cases
+            ) as server:
+                urls.put(server.url)
+                stop.wait(300)
+
+        servers = [ctx.Process(target=serve) for _ in range(2)]
+        for process in servers:
+            process.start()
+        try:
+            one, two = urls.get(timeout=60), urls.get(timeout=60)
+            job_a = ServiceClient(one).submit(grid=GRID, poll_interval=0.05)
+            job_b = ServiceClient(two).submit(grid=GRID, poll_interval=0.05)
+            a = ServiceClient(one).wait(job_a)
+            b = ServiceClient(two).wait(job_b)
+        finally:
+            stop.set()
+            for process in servers:
+                process.join(timeout=120)
+        assert [process.exitcode for process in servers] == [0, 0]
         assert a["executed"] + b["executed"] == 6
         assert a["loaded"] + b["loaded"] == 6
+
+
+class TestJobQueue:
+    def test_one_job_thread_for_any_pool_width(self, tmp_path):
+        """``workers`` is the fork-pool width, never a thread count."""
+
+        def job_threads():
+            return sum(
+                thread.name == "arena-worker"
+                for thread in threading.enumerate()
+            )
+
+        before = job_threads()
+        queue = JobQueue(tmp_path / "store", config=CONFIG, workers=4)
+        try:
+            assert queue.workers == 4
+            assert job_threads() == before + 1
+        finally:
+            queue.close()
+        assert job_threads() == before
+
+    def test_serve_rejects_the_global_jobs_flag(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["--jobs", "2", "serve", "--port", "0"])
 
 
 class TestGracefulShutdown:
@@ -468,3 +538,41 @@ class TestRawWire:
                 line.split(": ", 1) for line in frames[-1].splitlines()
             )["data"]
         )["event"] == "RunCompleted"
+
+    def _raw_post(self, service, length):
+        """POST /jobs with a hand-written ``Content-Length`` header."""
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    def test_malformed_content_length_is_400(self, service):
+        status, body = self._raw_post(service, "abc")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_content_length_is_400(self, service):
+        status, body = self._raw_post(service, "-1")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_since_is_400(self, service):
+        job = ServiceClient(service.url).submit(grid=GRID)
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        try:
+            conn.request("GET", f"/jobs/{job}/events?since=-1")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "since" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
