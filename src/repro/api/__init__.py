@@ -4,7 +4,7 @@ Three layers, importable à la carte:
 
 * :mod:`repro.api.specs` — frozen, exactly-round-tripping spec dataclasses
   (``ModelSpec``, ``AttackSpec``, ``DefenseSpec``, ``ExplainerSpec``,
-  ``VictimPolicy``, ``EvalSpec``, the composite ``ScenarioSpec`` and the
+  ``VictimPolicy``, the composite ``ScenarioSpec`` and the
   experiment descriptions).  Their dicts are the same canonical
   serialization the arena's content-addressed store hashes.
 * :mod:`repro.api.registry` — self-describing construction recipes
@@ -40,7 +40,6 @@ _EXPORTS = {
     "AttackSpec": "repro.api.specs",
     "DatasetSpec": "repro.api.specs",
     "DefenseSpec": "repro.api.specs",
-    "EvalSpec": "repro.api.specs",
     "ExplainerSpec": "repro.api.specs",
     "ModelSpec": "repro.api.specs",
     "ScenarioSpec": "repro.api.specs",
@@ -52,7 +51,6 @@ _EXPORTS = {
     # registry
     "EXPLAINERS": "repro.api.registry",
     "attack_spec": "repro.api.registry",
-    "attack_params": "repro.api.registry",
     "attacker_case": "repro.api.registry",
     "build_attack": "repro.api.registry",
     "defense_spec": "repro.api.registry",

@@ -45,7 +45,6 @@ __all__ = [
     "EXPLAINERS",
     "attack_class",
     "attack_spec",
-    "attack_params",
     "attacker_case",
     "build_attack",
     "defense_spec",
@@ -88,11 +87,6 @@ def attack_spec(name, config):
     attack's results — the scoping property the store keys rely on.
     """
     return AttackSpec(name, attack_class(name).spec_params(config))
-
-
-def attack_params(name, config):
-    """The scoped operating-point dict (content-key form) for ``name``."""
-    return attack_class(name).spec_params(config)
 
 
 def build_attack(spec, case, config=None, context=None, seed=None, threat=None):
@@ -210,13 +204,12 @@ def defense_spec(name, config):
     return DefenseSpec(name, resolve_params(DEFENSES[name].config_params, config))
 
 
-def build_defense(spec, case, config=None, context=None, explainer=None, **runtime):
+def build_defense(spec, case, config=None, context=None, **runtime):
     """Instantiate a defense from a spec (or name) for a prepared case.
 
     ``runtime`` kwargs carry case-level wiring a serialized spec cannot
-    (trusted-edge snapshots, per-cell prune budgets); ``explainer``
-    optionally overrides the default GNNExplainer inspector spec for
-    explanation-based defenses.
+    (trusted-edge snapshots, per-cell prune budgets).  Explanation-based
+    defenses inspect with the default GNNExplainer recipe.
     """
     config = case.config if config is None else config
     if isinstance(spec, str):
@@ -227,8 +220,9 @@ def build_defense(spec, case, config=None, context=None, explainer=None, **runti
         )
     factory = None
     if DEFENSES[spec.name].requires_explainer:
-        explainer = explainer or ExplainerSpec("gnn")
-        factory = explainer.build(case, config=config, context=context)
+        factory = build_explainer_factory(
+            "gnn", case, config=config, context=context
+        )
     return make_defense(
         spec.name,
         case.model,
@@ -362,7 +356,7 @@ def _constructor_defaults(cls):
         name: parameter.default
         for name, parameter in signature.parameters.items()
         if parameter.default is not inspect.Parameter.empty
-        and name not in ("self", "seed", "candidate_policy")
+        and name not in ("self", "seed")
     }
 
 

@@ -53,7 +53,6 @@ from repro.api.registry import (
 from repro.api.specs import (
     ArenaExperiment,
     DefenseSpec,
-    EvalSpec,
     ExplainerSpec,
     SweepExperiment,
     TableExperiment,
@@ -106,6 +105,10 @@ __all__ = [
 
 _EMPTY_REPORT = {"precision": 0.0, "recall": 0.0, "f1": 0.0, "ndcg": 0.0}
 
+#: Seconds between re-polls of arena cells deferred behind another run's
+#: lease.  Read at call time, so tests can shorten it.
+POLL_INTERVAL = 0.5
+
 
 # -- the per-victim engine ---------------------------------------------------
 
@@ -117,7 +120,6 @@ def iter_method_events(
     explainer_factory,
     jobs=1,
     keep_ranking=False,
-    eval_spec=None,
 ):
     """Attack every victim, inspect with the explainer, stream the results.
 
@@ -129,15 +131,12 @@ def iter_method_events(
     additionally ships each inspection's full edge ranking in the event
     (the subgraph-size sweep re-truncates it per grid value).
 
-    ``eval_spec`` (an :class:`~repro.api.specs.EvalSpec`) sets the
-    detection cut-off K and the inspection window L, defaulting to the
-    case config's values.
+    The detection cut-off K and the inspection window L are the case
+    config's ``detection_k`` and ``explanation_size``.
     """
     config = case.config
-    if eval_spec is None:
-        eval_spec = EvalSpec.from_config(config)
-    k = int(eval_spec.detection_k)
-    window = int(eval_spec.explanation_size)
+    k = int(config.detection_k)
+    window = int(config.explanation_size)
     victims = list(victims)
     tracer = get_tracer()
 
@@ -218,13 +217,11 @@ def iter_method_events(
         )
 
 
-def evaluate_method(
-    case, attack, victims, explainer_factory, jobs=1, eval_spec=None
-):
+def evaluate_method(case, attack, victims, explainer_factory, jobs=1):
     """Drain :func:`iter_method_events` to its final MethodEvaluation."""
     evaluation = None
     for event in iter_method_events(
-        case, attack, victims, explainer_factory, jobs=jobs, eval_spec=eval_spec
+        case, attack, victims, explainer_factory, jobs=jobs
     ):
         if isinstance(event, MethodEvaluated):
             evaluation = event.evaluation
@@ -470,25 +467,16 @@ class Session:
             self.run(SweepExperiment(kind=kind, dataset=dataset, values=values))
         )
 
-    def arena(
-        self, grid, store, progress=None, fresh=False,
-        lease_ttl=None, poll_interval=None,
-    ):
+    def arena(self, grid, store, progress=None, fresh=False):
         """Attack × defense matrix against a result store; returns ArenaRun.
 
         ``progress`` (``callable(str)``) receives the historical one line
-        per execution cell.  ``lease_ttl``/``poll_interval`` tune the
-        multi-writer coordination (see :class:`ArenaExperiment`); the
-        defaults are right for everything but tests.
+        per execution cell.  Concurrent runs on one store coordinate
+        through leases (see :class:`ArenaExperiment`).
         """
-        overrides = {}
-        if lease_ttl is not None:
-            overrides["lease_ttl"] = float(lease_ttl)
-        if poll_interval is not None:
-            overrides["poll_interval"] = float(poll_interval)
         result = None
         for event in self.run(
-            ArenaExperiment(grid=grid, store=store, fresh=fresh, **overrides)
+            ArenaExperiment(grid=grid, store=store, fresh=fresh)
         ):
             if progress is not None and isinstance(event, CellExecuted):
                 progress(
@@ -499,15 +487,10 @@ class Session:
                 result = event.result
         return result
 
-    def evaluate(self, case, attack, victims, explainer_factory, eval_spec=None):
+    def evaluate(self, case, attack, victims, explainer_factory):
         """One method over one victim set (the pipeline's primitive)."""
         return evaluate_method(
-            case,
-            attack,
-            victims,
-            explainer_factory,
-            jobs=self.jobs,
-            eval_spec=eval_spec,
+            case, attack, victims, explainer_factory, jobs=self.jobs
         )
 
     @staticmethod
@@ -627,7 +610,7 @@ class Session:
             """One timed attempt at a cell, folded into its manifest row."""
             with tracer.span("cell", cell=cell.label()) as span:
                 completed, cached, executed = yield from self._attempt_cell(
-                    run, grid, store, experiment, cell, prep, span, first
+                    run, grid, store, cell, prep, span, first
                 )
             row = cell_rows.setdefault(
                 cell.label(),
@@ -663,7 +646,7 @@ class Session:
                 pending = still_pending
                 if pending:
                     with tracer.span("lease-wait", pending=len(pending)):
-                        time.sleep(experiment.poll_interval)
+                        time.sleep(POLL_INTERVAL)
         run.manifest = build_manifest(
             wall_seconds=root.seconds,
             cells=list(cell_rows.values()),
@@ -671,9 +654,7 @@ class Session:
         )
         yield RunCompleted(run, span=root.id)
 
-    def _attempt_cell(
-        self, run, grid, store, experiment, cell, prep, span, first
-    ):
+    def _attempt_cell(self, run, grid, store, cell, prep, span, first):
         """One leased attempt at an arena cell (an event generator).
 
         Runs inside the attempt's open ``cell`` ``span``.  Returns
@@ -715,9 +696,7 @@ class Session:
         ]
         executed_keys = frozenset()
         if missing:
-            lease = store.try_lease(
-                content_key(cfg), ttl=experiment.lease_ttl
-            )
+            lease = store.try_lease(content_key(cfg))
             if lease is None:
                 span.set(
                     deferred=True,

@@ -21,7 +21,6 @@ __all__ = [
     "AttackSpec",
     "DatasetSpec",
     "DefenseSpec",
-    "EvalSpec",
     "ExplainerSpec",
     "ModelSpec",
     "ScenarioSpec",
@@ -202,18 +201,6 @@ class DefenseSpec(_NamedParamsSpec):
 
     name: str
     params: tuple = ()
-
-    def build(self, case, config=None, context=None, **runtime):
-        """Instantiate the defense for a prepared case (via the registry).
-
-        ``runtime`` kwargs carry case-level wiring a spec cannot serialize
-        (trusted edge snapshots, per-cell prune budgets).
-        """
-        from repro.api.registry import build_defense
-
-        return build_defense(
-            self, case, config=config, context=context, **runtime
-        )
 
 
 @dataclass(frozen=True)
@@ -460,21 +447,6 @@ class ThreatModel(_FieldSpec):
 
 
 @dataclass(frozen=True)
-class EvalSpec(_FieldSpec):
-    """Inspection/evaluation knobs: detection cut-off and window size."""
-
-    detection_k: int = 15
-    explanation_size: int = 20
-
-    @classmethod
-    def from_config(cls, config):
-        return cls(
-            detection_k=config.detection_k,
-            explanation_size=config.explanation_size,
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """Everything that determines one execution cell's attack results.
 
@@ -568,16 +540,15 @@ class SweepExperiment:
 class ArenaExperiment:
     """An attack × defense scenario matrix against a result store.
 
-    ``lease_ttl`` and ``poll_interval`` govern multi-writer coordination:
-    a cell with missing results executes under an advisory store lease,
-    cells leased by another live run are deferred and re-polled every
-    ``poll_interval`` seconds, and a lease older than ``lease_ttl``
-    (a dead writer) is stolen.  A single-writer run acquires every lease
-    uncontested, so these change nothing about its results or ordering.
+    Multi-writer coordination uses two constants: a cell with missing
+    results executes under an advisory store lease, cells leased by
+    another live run are deferred and re-polled every
+    :data:`repro.api.session.POLL_INTERVAL` seconds, and a lease older
+    than :data:`repro.arena.store.LEASE_TTL` (a dead writer) is stolen.
+    A single-writer run acquires every lease uncontested, so neither
+    changes anything about its results or ordering.
     """
 
     grid: object  # repro.arena.ScenarioGrid
     store: object  # repro.arena.ResultStore or a path for one
     fresh: bool = False
-    lease_ttl: float = 900.0
-    poll_interval: float = 0.5

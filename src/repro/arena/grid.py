@@ -152,19 +152,34 @@ class ScenarioGrid:
         )
 
 
+#: Numeric axes and the smallest value each admits.
+_NUMERIC_AXES = (("hidden_dims", 1), ("budget_caps", 1), ("seeds", 0))
+
+
 def validate_grid(grid):
     """Reject axis typos before any cell has trained or attacked.
 
-    Checks every registry name on the grid — attacks, defenses,
-    architectures, adapted defenses and surrogate architectures — and
-    raises :class:`KeyError` naming the first unknown one with its
-    options.  ``Session`` lets it propagate, the job server answers 400
-    and the CLI exits with a one-line ``error:``.
+    Checks every registry name on the grid — datasets (case-insensitive,
+    as :func:`repro.datasets.load_dataset` resolves them), attacks,
+    defenses, architectures, adapted defenses and surrogate architectures
+    — and raises :class:`KeyError` naming the first unknown one with its
+    options.  Then every ``hidden_dims``/``budget_caps``/``seeds`` entry
+    must be a plain ``int`` (not a ``bool`` or a string, which would hash
+    to a different store key or fail mid-run), widths and budgets at least
+    1 and seeds non-negative; anything else raises :class:`ValueError`.
+    ``Session`` lets both propagate, the job server answers 400 and the
+    CLI exits with a one-line ``error:``.
     """
     from repro.attacks import ATTACKS, EXTENSION_ATTACKS
+    from repro.datasets import DATASET_SPECS
     from repro.defense import DEFENSES
     from repro.nn import ARCHITECTURES
 
+    for name in grid.datasets:
+        if not isinstance(name, str) or name.lower() not in DATASET_SPECS:
+            raise KeyError(
+                f"unknown dataset {name!r}; options: {sorted(DATASET_SPECS)}"
+            )
     known_attacks = {**ATTACKS, **EXTENSION_ATTACKS}
     for name in grid.attacks:
         if name not in known_attacks:
@@ -197,6 +212,16 @@ def validate_grid(grid):
                 f"{threat.surrogate_arch!r}; "
                 f"options: {sorted(ARCHITECTURES)}"
             )
+    for axis, minimum in _NUMERIC_AXES:
+        for value in getattr(grid, axis):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"{axis} entries must be integers, got {value!r}"
+                )
+            if value < minimum:
+                raise ValueError(
+                    f"{axis} entries must be >= {minimum}, got {value!r}"
+                )
 
 
 def cell_config(cell, config):

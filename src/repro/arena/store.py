@@ -52,9 +52,13 @@ from pathlib import Path
 from repro.arena.grid import canonical_json
 from repro.obs import metrics
 
-__all__ = ["Lease", "ResultStore"]
+__all__ = ["LEASE_TTL", "Lease", "ResultStore"]
 
 logger = logging.getLogger(__name__)
+
+#: Default lease TTL in seconds: a lease older than this belongs to a dead
+#: writer and is stolen.  Read at call time, so tests can shorten it.
+LEASE_TTL = 900.0
 
 #: Manifest line tags: a committed record, and a dropped (quarantined) key.
 _PUT, _DROP = "v2", "v2-drop"
@@ -86,7 +90,7 @@ class Lease:
     path: Path
     token: str
     #: TTL (seconds) the lease was acquired with; renewals re-use it.
-    ttl: float = 900.0
+    ttl: float
 
     def release(self):
         """Drop the lease if we still hold it (no-op after a steal)."""
@@ -100,7 +104,7 @@ class Lease:
             except OSError:
                 pass
 
-    def renew(self, ttl=None):
+    def renew(self):
         """Re-stamp the lease's acquisition time; False once stolen.
 
         Rewrites the lease file (atomically) with a fresh timestamp and
@@ -111,7 +115,6 @@ class Lease:
         but a heartbeating holder renews at a third of its TTL — long
         before any claimant considers the lease stale.)
         """
-        ttl = float(self.ttl if ttl is None else ttl)
         try:
             content = self.path.read_text(encoding="utf-8")
         except OSError:
@@ -121,7 +124,7 @@ class Lease:
         temp = self.path.with_name(f".{uuid.uuid4().hex}.renew")
         try:
             temp.write_text(
-                f"{self.token}\t{time.time()}\t{ttl}\n", encoding="utf-8"
+                f"{self.token}\t{time.time()}\t{self.ttl}\n", encoding="utf-8"
             )
             os.replace(temp, self.path)
         except OSError:
@@ -130,22 +133,19 @@ class Lease:
             except OSError:
                 pass
             return False
-        self.ttl = ttl
         metrics.incr("lease.renewed")
         return True
 
     @contextmanager
-    def keep_alive(self, interval=None):
+    def keep_alive(self):
         """Heartbeat-renew this lease for the duration of a block.
 
-        A daemon thread calls :meth:`renew` every ``interval`` seconds
-        (default ``ttl / 3``) until the block exits; the thread stops
-        beating on its own once the lease is stolen (nothing left to
-        extend).  The caller still releases the lease itself.
+        A daemon thread calls :meth:`renew` every ``ttl / 3`` seconds
+        until the block exits; the thread stops beating on its own once
+        the lease is stolen (nothing left to extend).  The caller still
+        releases the lease itself.
         """
-        period = max(
-            0.05, self.ttl / 3.0 if interval is None else float(interval)
-        )
+        period = max(0.05, self.ttl / 3.0)
         stop = threading.Event()
 
         def beat():
@@ -539,8 +539,10 @@ class ResultStore:
                     pass
 
     # -- leases --------------------------------------------------------------
-    def try_lease(self, name, ttl=900.0):
+    def try_lease(self, name, ttl=None):
         """Claim the advisory lease ``name``, or return ``None`` if held.
+
+        ``ttl`` defaults to :data:`LEASE_TTL`.
 
         Acquisition is atomic (``os.link`` of a fully-written temp file —
         there is never a visible-but-empty lease).  A lease whose age
@@ -550,18 +552,19 @@ class ResultStore:
         (``lease.release()``) when done; a killed holder's lease simply
         expires.
         """
+        ttl = float(LEASE_TTL if ttl is None else ttl)
         lease_dir = self.root / self.LEASE_DIR
         lease_dir.mkdir(parents=True, exist_ok=True)
         path = lease_dir / f"{name}.lease"
         token = f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex}"
         temp = lease_dir / f".{token.rsplit(':', 1)[-1]}.tmp"
-        temp.write_text(f"{token}\t{time.time()}\t{float(ttl)}\n", encoding="utf-8")
+        temp.write_text(f"{token}\t{time.time()}\t{ttl}\n", encoding="utf-8")
         try:
             while True:
                 try:
                     os.link(temp, path)
                     metrics.incr("lease.acquired")
-                    return Lease(path=path, token=token, ttl=float(ttl))
+                    return Lease(path=path, token=token, ttl=ttl)
                 except FileExistsError:
                     pass
                 if not self._lease_expired(path, ttl):

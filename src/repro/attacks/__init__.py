@@ -21,7 +21,6 @@ PGExplainer variant), :class:`Metattack` (global poisoning),
 from repro.attacks.base import (
     Attack,
     AttackResult,
-    CandidatePolicy,
     DenseGCNForward,
     VictimSpec,
     candidate_nodes,
@@ -96,7 +95,6 @@ __all__ = [
     "FEATURE_ATTACKS",
     "Attack",
     "AttackResult",
-    "CandidatePolicy",
     "DICE",
     "DenseGCNForward",
     "IdentityScene",

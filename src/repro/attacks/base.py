@@ -1,4 +1,4 @@
-"""Attack infrastructure: result objects, candidate policies, fast forward.
+"""Attack infrastructure: result objects, candidate endpoints, fast forward.
 
 All attacks in this package are *evasion* attacks in the paper's threat
 model: the GCN is trained on the clean graph and frozen; the attacker adds
@@ -33,7 +33,6 @@ __all__ = [
     "backend_from_env",
     "DenseGCNForward",
     "DenseModelForward",
-    "CandidatePolicy",
     "SPEC_SEED_OFFSET",
     "VictimSpec",
     "candidate_nodes",
@@ -269,35 +268,20 @@ def record_trace(trace, view, candidates, scores, choice):
     )
 
 
-class CandidatePolicy:
-    """Which endpoints may receive an adversarial edge from the victim."""
-
-    ANY = "any"
-    TARGET_LABEL = "target-label"
-
-
-def candidate_nodes(graph, target_node, target_label=None, policy=None):
+def candidate_nodes(graph, target_node, target_label=None):
     """Endpoints eligible for a fake edge from ``target_node``.
 
     Excludes the victim itself and its current neighbors (we only *add*
-    edges).  Under ``TARGET_LABEL`` — the paper's attacker setting — only
-    nodes whose label equals the desired target label are eligible.
+    edges).  With a target label — the paper's attacker setting — only
+    nodes whose label equals the desired target label are eligible;
+    without one every other node is.
     """
-    policy = policy or (
-        CandidatePolicy.TARGET_LABEL
-        if target_label is not None
-        else CandidatePolicy.ANY
-    )
     banned = set(graph.neighbors(int(target_node)).tolist())
     banned.add(int(target_node))
     nodes = np.arange(graph.num_nodes)
     keep = np.array([v not in banned for v in nodes], dtype=bool)
-    if policy == CandidatePolicy.TARGET_LABEL:
-        if target_label is None:
-            raise ValueError("TARGET_LABEL policy requires a target label")
+    if target_label is not None:
         keep &= graph.labels == int(target_label)
-    elif policy != CandidatePolicy.ANY:
-        raise ValueError(f"unknown candidate policy {policy!r}")
     return nodes[keep]
 
 
@@ -471,10 +455,9 @@ class Attack:
     #: ``"pg_explainer"``); supplied by the session/registry builder.
     requires = ()
 
-    def __init__(self, model, seed=0, candidate_policy=None):
+    def __init__(self, model, seed=0):
         self.model = model
         self.seed = int(seed)
-        self.candidate_policy = candidate_policy
         #: Whether the adjacency-gradient hot paths build a
         #: :class:`SparseAttackAdjacency` instead of a dense leaf.  Set by
         #: ``REPRO_BACKEND=sparse`` (:func:`backend_from_env`), and only
@@ -607,19 +590,13 @@ class Attack:
     def _locality_endpoints(self, graph, target_node, target_label):
         """``(endpoint ids, frontier cache key)`` or ``None`` if unbounded.
 
-        The default covers the paper's attacker setting: under the
-        ``TARGET_LABEL`` candidate policy the only admissible endpoints are
-        the target-label nodes, a set shared by every victim with the same
-        target label (hence the cacheable frontier key).  Attacks whose
-        candidate set spans the whole graph return ``None`` and run on the
-        full graph.
+        The default covers the paper's attacker setting: with a target
+        label the only admissible endpoints are the target-label nodes, a
+        set shared by every victim with the same target label (hence the
+        cacheable frontier key).  Untargeted victims, whose candidate set
+        spans the whole graph, return ``None`` and run on the full graph.
         """
-        policy = self.candidate_policy or (
-            CandidatePolicy.TARGET_LABEL
-            if target_label is not None
-            else CandidatePolicy.ANY
-        )
-        if policy != CandidatePolicy.TARGET_LABEL or target_label is None:
+        if target_label is None:
             return None
         label = int(target_label)
         return np.flatnonzero(graph.labels == label), ("label", label)
@@ -648,9 +625,7 @@ class Attack:
         return int(predictions[int(node)]) if node is not None else predictions
 
     def _candidates(self, graph, target_node, target_label):
-        return candidate_nodes(
-            graph, target_node, target_label, policy=self.candidate_policy
-        )
+        return candidate_nodes(graph, target_node, target_label)
 
     def _scene_forward(self, scene, view):
         """Per-view dense forward, memoized on the feature slice.

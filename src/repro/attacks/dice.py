@@ -50,8 +50,8 @@ class DICE(Attack):
     name = "DICE"
     supports_locality = True
 
-    def __init__(self, model, seed=0, candidate_policy=None, add_probability=0.5):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+    def __init__(self, model, seed=0, add_probability=0.5):
+        super().__init__(model, seed=seed)
         if not 0.0 <= add_probability <= 1.0:
             raise ValueError("add_probability must lie in [0, 1]")
         self.add_probability = float(add_probability)

@@ -38,11 +38,15 @@ from repro.attacks.locality import IdentityScene
 from repro.autodiff import functional as F
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor, grad
-from repro.explain.gnn_explainer import explainer_loss
+from repro.explain.gnn_explainer import MASK_INIT_SCALE, explainer_loss
 from repro.graph import Graph
 from repro.graph.utils import cached_model_operator, k_hop_subgraph
 
 __all__ = ["FeatureAttackResult", "FeatureFGA", "GEFAttack"]
+
+#: Off-bits per step that carry GEF-Attack's evasion penalty (see
+#: :class:`GEFAttack`).
+SUPPORT_SIZE = 12
 
 
 @dataclass
@@ -185,38 +189,25 @@ class GEFAttack(FeatureAttackBase):
         T and η of the unrolled joint mask optimization (Eq. 8 applied to
         both M_A and M_F, exactly what ``GNNExplainer(explain_features=True)``
         runs).
-    mask_init_scale:
-        Scale of the random mask initializations (drawn once per attack).
-    support_size:
-        The evasion penalty is restricted to the ``support_size`` off-bits
-        with the strongest attack gradient (the flips an attacker would
-        plausibly make).  A word the attack would never plant needs no
-        evasion pressure, and dropping it removes its cross-derivative
-        noise from the penalty gradient — in feature space a single bit's
-        self-effect on its own mask entry is much weaker than an edge's
-        effect on message passing, so without this focusing the penalty
-        signal drowns (see DESIGN.md, feature-attack extension).
+
+    The random mask initializations use GNNExplainer's
+    ``MASK_INIT_SCALE``.  The evasion penalty is restricted to the
+    ``SUPPORT_SIZE`` off-bits with the strongest attack gradient (the
+    flips an attacker would plausibly make).  A word the attack would never
+    plant needs no evasion pressure, and dropping it removes its
+    cross-derivative noise from the penalty gradient — in feature space a
+    single bit's self-effect on its own mask entry is much weaker than an
+    edge's effect on message passing, so without this focusing the penalty
+    signal drowns (see DESIGN.md, feature-attack extension).
     """
 
     name = "GEF-Attack"
 
-    def __init__(
-        self,
-        model,
-        seed=0,
-        candidate_policy=None,
-        lam=1.0,
-        inner_steps=5,
-        inner_lr=0.1,
-        mask_init_scale=0.1,
-        support_size=12,
-    ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+    def __init__(self, model, seed=0, lam=1.0, inner_steps=5, inner_lr=0.1):
+        super().__init__(model, seed=seed)
         self.lam = float(lam)
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
-        self.mask_init_scale = float(mask_init_scale)
-        self.support_size = int(support_size)
 
     def attack(self, graph, target_node, target_label, budget, locality=None):
         target_node = int(target_node)
@@ -229,7 +220,7 @@ class GEFAttack(FeatureAttackBase):
         # unaffected — the feature mirror of Eq. 5's B matrix.
         feature_evasion = (graph.features[target_node] == 0.0).astype(np.float64)
         num_features = graph.num_features
-        mask_feature_init = rng.normal(0.0, self.mask_init_scale, size=num_features)
+        mask_feature_init = rng.normal(0.0, MASK_INIT_SCALE, size=num_features)
 
         perturbed = graph
         flipped = []
@@ -245,7 +236,7 @@ class GEFAttack(FeatureAttackBase):
                 view.graph, view.node, target_label
             )
             order = np.argsort(attack_gradient[candidates])
-            support = candidates[order[: min(self.support_size, candidates.size)]]
+            support = candidates[order[: min(SUPPORT_SIZE, candidates.size)]]
             step_evasion = np.zeros_like(feature_evasion)
             step_evasion[support] = feature_evasion[support]
 
@@ -299,7 +290,7 @@ class GEFAttack(FeatureAttackBase):
         sub_features = features[sub_nodes]
 
         mask = Tensor(
-            rng.normal(0.0, self.mask_init_scale, size=(subgraph.num_nodes,) * 2),
+            rng.normal(0.0, MASK_INIT_SCALE, size=(subgraph.num_nodes,) * 2),
             requires_grad=True,
         )
         feature_mask = Tensor(mask_feature_init.copy(), requires_grad=True)

@@ -43,17 +43,10 @@ class FGATExplainerEvasion(FGATargeted):
     )
 
     def __init__(
-        self,
-        model,
-        seed=0,
-        candidate_policy=None,
-        explainer_epochs=100,
-        explainer_lr=0.05,
-        explanation_size=20,
+        self, model, seed=0, explainer_epochs=100, explanation_size=20
     ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+        super().__init__(model, seed=seed)
         self.explainer_epochs = int(explainer_epochs)
-        self.explainer_lr = float(explainer_lr)
         self.explanation_size = int(explanation_size)
 
     def attack(self, graph, target_node, target_label, budget, locality=None):
@@ -95,10 +88,7 @@ class FGATExplainerEvasion(FGATargeted):
         if candidates.size == 0:
             return candidates
         explainer = GNNExplainer(
-            self.model,
-            epochs=self.explainer_epochs,
-            lr=self.explainer_lr,
-            seed=self.seed,
+            self.model, epochs=self.explainer_epochs, seed=self.seed
         )
         label = self.predict(perturbed, view.to_global(view.node))
         explanation = explainer.explain_node(view.graph, view.node, label=label)

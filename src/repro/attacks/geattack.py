@@ -19,8 +19,9 @@ The paper's core contribution.  Per outer step the attack:
    of ``Q = ∇_Â L``, so we select the most negative symmetrized entry).
 
 The GNNExplainer penalty reuses
-:func:`repro.explain.gnn_explainer.explainer_loss` verbatim, so the attack
-simulates exactly the inspection it evades.
+:func:`repro.explain.gnn_explainer.explainer_loss` verbatim — the paper's
+plain Eq. (3) cross-entropy, from GNNExplainer's own mask initialization
+scale — so the attack simulates exactly the inspection it evades.
 
 :class:`GEAttackPG` is the Section 5.3 variant against PGExplainer: the
 inner loop fine-tunes a copy of the trained PGExplainer edge-MLP on the
@@ -42,11 +43,15 @@ from repro.autodiff import functional as F
 from repro.autodiff import ops
 from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
-from repro.explain.gnn_explainer import explainer_loss
+from repro.explain.gnn_explainer import MASK_INIT_SCALE, explainer_loss
 from repro.explain.pg_explainer import apply_edge_mlp
 from repro.graph.utils import k_hop_subgraph, normalize_adjacency_tensor
 
 __all__ = ["GEAttack", "GEAttackPG", "evasion_matrix"]
+
+#: Weight of the sparsity regularizer in GEAttack-PG's simulated
+#: PGExplainer instance objective.
+PG_SIZE_COEFFICIENT = 0.01
 
 
 def evasion_matrix(clean_graph):
@@ -81,12 +86,6 @@ class GEAttack(Attack):
         already suffices, Figure 6; the calibrated harness point uses 5).
     inner_lr:
         η — step size of the inner mask updates (Eq. 8).
-    mask_init_scale:
-        Scale of the random mask initialization M⁰ (drawn once per attack,
-        Algorithm 1 line 3, reused across outer iterations).
-    size_coefficient, entropy_coefficient:
-        Regularizers of the simulated explainer loss (0 = the paper's
-        Eq. 3 plain cross-entropy).
     greedy:
         Algorithm 1's per-step greedy coordinate descent (default).  With
         ``greedy=False`` all Δ edges come from a single gradient evaluation
@@ -115,23 +114,16 @@ class GEAttack(Attack):
         self,
         model,
         seed=0,
-        candidate_policy=None,
         lam=0.7,
         inner_steps=5,
         inner_lr=0.1,
-        mask_init_scale=0.1,
-        size_coefficient=0.0,
-        entropy_coefficient=0.0,
         greedy=True,
         normalize_penalty=True,
     ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+        super().__init__(model, seed=seed)
         self.lam = float(lam)
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
-        self.mask_init_scale = float(mask_init_scale)
-        self.size_coefficient = float(size_coefficient)
-        self.entropy_coefficient = float(entropy_coefficient)
         self.greedy = bool(greedy)
         self.normalize_penalty = bool(normalize_penalty)
 
@@ -143,7 +135,7 @@ class GEAttack(Attack):
         # Algorithm 1 line 3: M⁰ drawn once, sized by the *global* node
         # count so subgraph execution slices the identical initialization.
         mask_full = rng.normal(
-            0.0, self.mask_init_scale, size=(scene.num_global,) * 2
+            0.0, MASK_INIT_SCALE, size=(scene.num_global,) * 2
         )
 
         if not self.greedy:
@@ -223,13 +215,10 @@ class GEAttack(Attack):
         dimensionless (see the class docstring).
 
         On the sparse backend the same quantities are computed over a
-        CSR pair parameterization (``O(nnz)`` instead of ``O(n²)``);
-        the entropy regularizer is a mean over all ``n²`` mask entries,
-        so a nonzero ``entropy_coefficient`` falls back to the dense
-        path (it is 0 at the paper's operating point).
+        CSR pair parameterization (``O(nnz)`` instead of ``O(n²)``).
         """
         target_node = int(target_node)
-        if self.sparse and not self.entropy_coefficient:
+        if self.sparse:
             return self._sparse_candidate_scores(
                 forward, graph, target_node, target_label, evasion, mask_init,
                 candidates, degree_offset,
@@ -299,8 +288,6 @@ class GEAttack(Attack):
                 None,
                 target_node,
                 target_label,
-                self.size_coefficient,
-                self.entropy_coefficient,
                 degree_offset=degree_offset,
             )
             step_gradient = grad(inner, mask, create_graph=True)
@@ -387,20 +374,17 @@ class GEAttack(Attack):
     def _sparse_explainer_loss(
         self, forward, handle, u, target_node, target_label, degree_offset
     ):
-        """GNNExplainer's objective on the CSR support (Eq. 3 + size term)."""
+        """GNNExplainer's objective on the CSR support (Eq. 3)."""
         probability = ops.sigmoid(u)
         masked_values = handle.ordered_values() * probability[handle.expand_index]
         normalized = handle.assemble_normalized(
             masked_values, degree_offset=degree_offset
         )
         logits = forward(normalized)
-        loss = F.cross_entropy(
+        return F.cross_entropy(
             ops.reshape(logits[int(target_node)], (1, logits.shape[1])),
             np.array([int(target_label)]),
         )
-        if self.size_coefficient:
-            loss = loss + self.size_coefficient * ops.tensor_sum(masked_values)
-        return loss
 
 
 class GEAttackPG(Attack):
@@ -456,21 +440,18 @@ class GEAttackPG(Attack):
         model,
         pg_explainer,
         seed=0,
-        candidate_policy=None,
         lam=0.7,
         inner_steps=2,
         inner_lr=0.05,
-        size_coefficient=0.01,
         normalize_penalty=True,
     ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+        super().__init__(model, seed=seed)
         if not pg_explainer.fitted:
             raise ValueError("GEAttackPG needs a fitted PGExplainer")
         self.pg_explainer = pg_explainer
         self.lam = float(lam)
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
-        self.size_coefficient = float(size_coefficient)
         self.normalize_penalty = bool(normalize_penalty)
 
     def attack(self, graph, target_node, target_label, budget, locality=None):
@@ -664,6 +645,4 @@ class GEAttackPG(Attack):
             ops.reshape(out[int(local)], (1, out.shape[1])),
             np.array([int(target_label)]),
         )
-        if self.size_coefficient:
-            loss = loss + self.size_coefficient * ops.tensor_sum(mask)
-        return loss
+        return loss + PG_SIZE_COEFFICIENT * ops.tensor_sum(mask)

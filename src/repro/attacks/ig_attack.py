@@ -37,8 +37,8 @@ class IGAttack(Attack):
     name = "IG-Attack"
     supports_locality = True
 
-    def __init__(self, model, seed=0, candidate_policy=None, steps=10):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+    def __init__(self, model, seed=0, steps=10):
+        super().__init__(model, seed=seed)
         if steps < 1:
             raise ValueError("integration needs at least one step")
         self.steps = int(steps)

@@ -40,6 +40,9 @@ from repro.nn import init
 
 __all__ = ["Metattack"]
 
+#: Step size of the surrogate's unrolled gradient-descent training.
+TRAIN_LR = 0.5
+
 
 class Metattack(Attack):
     """Global structure poisoning with meta-gradients (Meta-Self variant).
@@ -52,10 +55,10 @@ class Metattack(Attack):
         surrogate is trained from scratch inside the meta-gradient unroll).
     hidden:
         Width of the unrolled linear surrogate.
-    train_steps, train_lr:
-        Inner training unroll (kept short; meta-gradients of even a partial
-        training run carry strong signal — same observation as the paper's
-        Figure 6 for the explainer unroll).
+    train_steps:
+        Inner training unroll at step size ``TRAIN_LR`` (kept short;
+        meta-gradients of even a partial training run carry strong signal —
+        same observation as the paper's Figure 6 for the explainer unroll).
     self_training:
         Use the surrogate's own predictions as labels for unlabeled nodes
         (the "Meta-Self" objective); otherwise attack the train loss only.
@@ -71,17 +74,14 @@ class Metattack(Attack):
         self,
         model=None,
         seed=0,
-        candidate_policy=None,
         hidden=16,
         train_steps=12,
-        train_lr=0.5,
         self_training=True,
         train_fraction=0.3,
     ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+        super().__init__(model, seed=seed)
         self.hidden = int(hidden)
         self.train_steps = int(train_steps)
-        self.train_lr = float(train_lr)
         self.self_training = bool(self_training)
         if not 0.0 < train_fraction <= 1.0:
             raise ValueError("train_fraction must lie in (0, 1]")
@@ -186,8 +186,8 @@ class Metattack(Attack):
             logits = self._surrogate_logits(adjacency, features, w1, w2)
             loss = F.cross_entropy(logits[train_index], labels[train_index])
             g1, g2 = grad(loss, [w1, w2])
-            w1 = Tensor(w1.data - self.train_lr * g1.data, requires_grad=True)
-            w2 = Tensor(w2.data - self.train_lr * g2.data, requires_grad=True)
+            w1 = Tensor(w1.data - TRAIN_LR * g1.data, requires_grad=True)
+            w2 = Tensor(w2.data - TRAIN_LR * g2.data, requires_grad=True)
         with no_grad():
             final = self._surrogate_logits(adjacency, features, w1, w2)
         pseudo = final.data.argmax(axis=1)
@@ -212,8 +212,8 @@ class Metattack(Attack):
             logits = self._surrogate_logits(adjacency, features, w1, w2)
             train_loss = F.cross_entropy(logits[train_index], labels[train_index])
             g1, g2 = grad(train_loss, [w1, w2], create_graph=True)
-            w1 = w1 - self.train_lr * g1
-            w2 = w2 - self.train_lr * g2
+            w1 = w1 - TRAIN_LR * g1
+            w2 = w2 - TRAIN_LR * g2
         logits = self._surrogate_logits(adjacency, features, w1, w2)
         if self.self_training and unlabeled.size:
             return F.cross_entropy(logits[unlabeled], pseudo_labels[unlabeled])

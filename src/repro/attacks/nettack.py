@@ -14,7 +14,7 @@ Faithful pieces:
   reference threshold 0.004 and ``d_min = 2``.
 
 One documented deviation: instead of scoring *every* candidate exactly, a
-gradient pre-screening keeps the top ``screen_size`` candidates and only
+gradient pre-screening keeps the top ``SCREEN_SIZE`` candidates and only
 those are scored exactly (identical selections in practice, much cheaper).
 """
 
@@ -43,6 +43,8 @@ __all__ = [
 DEGREE_TEST_THRESHOLD = 0.004
 #: Minimum degree considered part of the power-law tail.
 D_MIN = 2
+#: Number of gradient-screened candidates scored exactly per greedy step.
+SCREEN_SIZE = 32
 
 
 def estimate_powerlaw_alpha(degrees, d_min=D_MIN):
@@ -114,8 +116,6 @@ class Nettack(Attack):
     model:
         The attacked (frozen) GCN; the surrogate is distilled from it unless
         ``surrogate`` is supplied.
-    screen_size:
-        Number of gradient-screened candidates scored exactly per step.
     enforce_degree_test:
         Toggle the power-law likelihood-ratio filter (on, as in the paper).
     """
@@ -127,14 +127,11 @@ class Nettack(Attack):
         self,
         model,
         seed=0,
-        candidate_policy=None,
         surrogate=None,
-        screen_size=32,
         enforce_degree_test=True,
     ):
-        super().__init__(model, seed=seed, candidate_policy=candidate_policy)
+        super().__init__(model, seed=seed)
         self.surrogate = surrogate or LinearizedGCN.from_model(model)
-        self.screen_size = int(screen_size)
         self.enforce_degree_test = bool(enforce_degree_test)
 
     def attack(self, graph, target_node, target_label, budget, locality=None):
@@ -195,7 +192,7 @@ class Nettack(Attack):
 
     def _screen(self, view, target_label, candidates):
         """Keep the candidates with the strongest surrogate gradient signal."""
-        if candidates.size <= self.screen_size:
+        if candidates.size <= SCREEN_SIZE:
             return candidates
         forward = _SurrogateForward(
             self.surrogate,
@@ -211,7 +208,7 @@ class Nettack(Attack):
             loss = targeted_loss(forward, adjacency, view.node, target_label)
             gradient = grad(loss, adjacency).data
             scores = -(gradient + gradient.T)[view.node, candidates]
-        order = np.argsort(-scores)[: self.screen_size]
+        order = np.argsort(-scores)[:SCREEN_SIZE]
         return candidates[order]
 
     def _exact_margin(self, view, target_label, candidate, feature_logits):

@@ -40,27 +40,27 @@ class JaccardDefense(Defense):
     threshold:
         Edges with Jaccard similarity strictly below this are removed
         (reference default 0.01 — only near-zero-overlap pairs go).
-    binarize:
-        Treat features as sets via ``> 0`` (bag-of-words datasets are
-        already binary; continuous features are thresholded).
     model:
         Optional frozen GCN; only needed for defended :meth:`predict`.
     """
 
     name = "jaccard"
 
-    def __init__(self, threshold=0.01, binarize=True, model=None):
+    def __init__(self, threshold=0.01, model=None):
         super().__init__(model)
         self.threshold = float(threshold)
-        self.binarize = bool(binarize)
 
     @classmethod
     def build(cls, model, explainer_factory=None, **kwargs):
         return cls(model=model, **kwargs)
 
     def edge_scores(self, graph):
-        """Jaccard similarity per undirected edge, aligned with the list."""
-        features = graph.features > 0 if self.binarize else graph.features
+        """Jaccard similarity per undirected edge, aligned with the list.
+
+        Features are treated as sets via ``> 0`` (bag-of-words datasets are
+        already binary; continuous features are thresholded).
+        """
+        features = graph.features > 0
         coo = sp.triu(graph.adjacency, k=1).tocoo()
         edges = list(zip(coo.row.tolist(), coo.col.tolist()))
         scores = np.array(

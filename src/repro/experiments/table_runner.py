@@ -44,22 +44,13 @@ class ComparisonResult:
 
     def mean_std(self):
         """``{method: {metric: (mean, std)}}`` over the runs."""
-        summary = {}
-        for method in METHOD_ORDER:
-            metrics = {}
-            for metric in METRIC_ORDER:
-                values = [
-                    run[method].row()[metric]
-                    for run in self.runs
-                    if method in run and not np.isnan(run[method].row()[metric])
-                ]
-                metrics[metric] = (
-                    (float(np.mean(values)), float(np.std(values)))
-                    if values
-                    else (float("nan"), float("nan"))
-                )
-            summary[method] = metrics
-        return summary
+        return {
+            method: {
+                metric: aggregate_runs(self.runs, method, metric)
+                for metric in METRIC_ORDER
+            }
+            for method in METHOD_ORDER
+        }
 
 
 def aggregate_runs(runs, method, metric):

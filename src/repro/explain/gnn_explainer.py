@@ -15,20 +15,27 @@ them changes nothing — and it keeps optimization cheap.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autodiff import functional as F
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor, grad, no_grad
-from repro.explain.base import BaseExplainer, Explanation
+from repro.explain.base import BaseExplainer, Explanation, subgraph_edges
 from repro.graph.utils import (
     cached_model_operator,
-    edge_tuple,
     k_hop_subgraph,
     normalize_adjacency_tensor,
 )
 
-__all__ = ["GNNExplainer", "explainer_loss", "symmetric_mask_probability"]
+__all__ = [
+    "GNNExplainer",
+    "MASK_INIT_SCALE",
+    "explainer_loss",
+    "symmetric_mask_probability",
+]
+
+#: Standard deviation of the random mask initialization — shared with the
+#: attacks that simulate this explainer's optimization (GEAttack, GEF-Attack).
+MASK_INIT_SCALE = 0.1
 
 
 def symmetric_mask_probability(mask):
@@ -151,12 +158,18 @@ class GNNExplainer(BaseExplainer):
 
         rng = np.random.default_rng(self.seed)
         mask = Tensor(
-            rng.normal(0.0, 0.1, size=(subgraph.num_nodes, subgraph.num_nodes)),
+            rng.normal(
+                0.0,
+                MASK_INIT_SCALE,
+                size=(subgraph.num_nodes, subgraph.num_nodes),
+            ),
             requires_grad=True,
         )
         feature_mask = (
             Tensor(
-                rng.normal(0.0, 0.1, size=(subgraph.num_features,)),
+                rng.normal(
+                    0.0, MASK_INIT_SCALE, size=(subgraph.num_features,)
+                ),
                 requires_grad=True,
             )
             if self.explain_features
@@ -189,24 +202,12 @@ class GNNExplainer(BaseExplainer):
             feature_weights = (
                 ops.sigmoid(feature_mask).data if feature_mask is not None else None
             )
-        edges, weights = self._edge_weights(subgraph, nodes, probability)
+        edges, rows, cols = subgraph_edges(subgraph, nodes)
         return Explanation(
             node=int(node),
             predicted_label=int(label),
             edges=edges,
-            weights=weights,
+            weights=probability[rows, cols],
             subgraph_nodes=nodes,
             feature_weights=feature_weights,
         )
-
-    @staticmethod
-    def _edge_weights(subgraph, nodes, probability):
-        """Importance per existing undirected subgraph edge (global ids)."""
-        coo = sp.triu(subgraph.adjacency, k=1).tocoo()
-        edges = [
-            edge_tuple(nodes[r], nodes[c]) for r, c in zip(coo.row, coo.col)
-        ]
-        weights = np.array(
-            [probability[r, c] for r, c in zip(coo.row, coo.col)], dtype=np.float64
-        )
-        return edges, weights

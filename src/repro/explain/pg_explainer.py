@@ -32,6 +32,9 @@ from repro.nn.module import Parameter
 
 __all__ = ["PGExplainer", "apply_edge_mlp", "masked_adjacency_from_edge_weights"]
 
+#: ``(start, end)`` temperature of the concrete-relaxation annealing.
+TEMPERATURE = (5.0, 1.0)
+
 
 def apply_edge_mlp(weights, inputs):
     """Apply the 2-layer edge MLP functionally: ``relu(x W1 + b1) W2 + b2``.
@@ -68,9 +71,8 @@ class PGExplainer(BaseExplainer):
     hidden:
         Width of the edge-MLP hidden layer.
     epochs, lr:
-        Training schedule for the MLP.
-    temperature:
-        ``(start, end)`` of the concrete-relaxation annealing.
+        Training schedule for the MLP (the concrete relaxation anneals over
+        ``TEMPERATURE``).
     size_coefficient, entropy_coefficient:
         Sparsity / binariness regularizers from the original paper.
     """
@@ -81,7 +83,6 @@ class PGExplainer(BaseExplainer):
         hidden=32,
         epochs=20,
         lr=0.01,
-        temperature=(5.0, 1.0),
         size_coefficient=0.01,
         entropy_coefficient=0.1,
         seed=0,
@@ -90,7 +91,6 @@ class PGExplainer(BaseExplainer):
         self.hidden = int(hidden)
         self.epochs = int(epochs)
         self.lr = float(lr)
-        self.temperature = (float(temperature[0]), float(temperature[1]))
         self.size_coefficient = float(size_coefficient)
         self.entropy_coefficient = float(entropy_coefficient)
         self.seed = int(seed)
@@ -174,15 +174,15 @@ class PGExplainer(BaseExplainer):
             raise ValueError("no usable instance nodes for PGExplainer training")
 
         optimizer = Adam(self.weights, lr=self.lr)
-        start_temp, end_temp = self.temperature
+        start_temp, end_temp = TEMPERATURE
         for epoch in range(self.epochs):
-            temperature = start_temp * (end_temp / start_temp) ** (
+            tau = start_temp * (end_temp / start_temp) ** (
                 epoch / max(self.epochs - 1, 1)
             )
             total = None
             for subgraph, local, rows, cols, inputs, label in prepared:
                 loss = self._instance_loss(
-                    subgraph, local, rows, cols, inputs, label, temperature
+                    subgraph, local, rows, cols, inputs, label, tau
                 )
                 total = loss if total is None else total + loss
             gradients = grad(total, self.weights, allow_unused=True)
@@ -190,13 +190,11 @@ class PGExplainer(BaseExplainer):
         self.fitted = True
         return self
 
-    def _instance_loss(
-        self, subgraph, local, rows, cols, inputs, label, temperature
-    ):
+    def _instance_loss(self, subgraph, local, rows, cols, inputs, label, tau):
         logits = ops.reshape(apply_edge_mlp(self.weights, inputs), (len(rows),))
         noise = self._rng.uniform(1e-6, 1.0 - 1e-6, size=len(rows))
         gumbel = Tensor(np.log(noise) - np.log(1.0 - noise))
-        mask = ops.sigmoid((logits + gumbel) * (1.0 / temperature))
+        mask = ops.sigmoid((logits + gumbel) * (1.0 / tau))
         masked = masked_adjacency_from_edge_weights(
             subgraph.num_nodes, rows, cols, mask
         )

@@ -130,7 +130,7 @@ class Span:
 class Tracer:
     """Span factory + JSONL writer; disabled when constructed without a path."""
 
-    def __init__(self, path=None, truncate=True):
+    def __init__(self, path=None):
         self.path = None if path is None else str(path)
         self.enabled = self.path is not None
         #: The open-span stack and the last map's item span ids are plain
@@ -147,7 +147,7 @@ class Tracer:
         #: records in ``_worker_lines`` for ``parallel_map`` to ship back.
         self._origin_pid = os.getpid()
         self._worker_lines = []
-        if self.enabled and truncate:
+        if self.enabled:
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)

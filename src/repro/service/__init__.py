@@ -22,10 +22,13 @@ Endpoint reference
     ``seeds``, ``threats``; threat entries are CLI grammar strings like
     ``"surrogate+adaptive:jaccard"`` or ``ThreatModel`` dicts) — or
     ``{"scenario": {<ScenarioSpec dict>}, "defenses": [...]}`` for one
-    canonical cell.  Optional: ``fresh``, ``lease_ttl``,
-    ``poll_interval``.  Returns 202 ``{"job", "state", "cells"}``;
-    400 on unknown axes/attacks/defenses or a malformed body or
-    ``Content-Length``, 503 once shutdown has begun.
+    canonical cell.  Optional: ``fresh`` (clear the store first); lease
+    timing is fixed server-side (``repro.arena.store.LEASE_TTL``,
+    ``repro.api.session.POLL_INTERVAL``).  Returns 202
+    ``{"job", "state", "cells"}``; 400 on unknown axes, datasets,
+    attacks, defenses, archs or threats, on non-integer or out-of-range
+    ``hidden_dims``/``budget_caps``/``seeds`` entries, or on a malformed
+    body or ``Content-Length``; 503 once shutdown has begun.
 ``GET /jobs/<id>``
     Status snapshot: state (``queued``/``running``/``done``/``failed``),
     event count, executed/loaded/deferred totals and the final

@@ -81,20 +81,13 @@ class ServiceClient:
             ) from error
 
     # -- the API -------------------------------------------------------------
-    def submit(
-        self,
-        grid=None,
-        scenario=None,
-        defenses=None,
-        fresh=False,
-        lease_ttl=None,
-        poll_interval=None,
-    ):
+    def submit(self, grid=None, scenario=None, defenses=None, fresh=False):
         """``POST /jobs``; returns the job id.
 
         ``grid`` may be a :class:`~repro.arena.grid.ScenarioGrid` or an
         axis dict; ``scenario`` is one canonical ``ScenarioSpec`` dict
-        (optionally with evaluation ``defenses``).
+        (optionally with evaluation ``defenses``).  ``fresh`` clears the
+        store before the run.
         """
         payload = {}
         if grid is not None:
@@ -105,10 +98,6 @@ class ServiceClient:
                 payload["defenses"] = list(defenses)
         if fresh:
             payload["fresh"] = True
-        if lease_ttl is not None:
-            payload["lease_ttl"] = float(lease_ttl)
-        if poll_interval is not None:
-            payload["poll_interval"] = float(poll_interval)
         return self._request("/jobs", payload)["job"]
 
     def status(self, job):

@@ -53,7 +53,7 @@ class Job:
     def __init__(self, grid, options=None):
         self.id = uuid.uuid4().hex[:12]
         self.grid = grid
-        #: ``ArenaExperiment`` keyword overrides (fresh/lease_ttl/…).
+        #: ``ArenaExperiment`` keyword overrides (only ``fresh``).
         self.options = dict(options or {})
         self._condition = threading.Condition()
         self._state = QUEUED

@@ -205,17 +205,11 @@ class ArenaService:
         # a failed job's error field.
         try:
             validate_grid(grid)
-        except KeyError as error:
+        except (KeyError, ValueError) as error:
             raise _BadRequest(error.args[0]) from error
         options = {}
         if payload.get("fresh"):
             options["fresh"] = True
-        for knob in ("lease_ttl", "poll_interval"):
-            if payload.get(knob) is not None:
-                try:
-                    options[knob] = float(payload[knob])
-                except (TypeError, ValueError) as error:
-                    raise _BadRequest(f'"{knob}" must be a number') from error
         try:
             job = self.queue.submit(grid, **options)
         except RuntimeError as error:

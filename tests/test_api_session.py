@@ -92,19 +92,22 @@ class TestTableThroughSession:
             list(session.run(object()))
 
     def test_eval_spec_parameterizes_inspection(self, session):
-        from repro.api import EvalSpec, build_attack
+        from repro.api import build_attack
 
         case, victims = session.prepared("cora")
         attack = build_attack("FGA-T", case, CONFIG)
         factory = ExplainerSpec("gnn").build(case, CONFIG)
-        narrow = session.evaluate(
-            case, attack, victims, factory,
-            eval_spec=EvalSpec(detection_k=5, explanation_size=1),
-        )
-        wide = session.evaluate(
-            case, attack, victims, factory,
-            eval_spec=EvalSpec(detection_k=5, explanation_size=40),
-        )
+
+        def window(size):
+            return replace(
+                case,
+                config=replace(
+                    case.config, detection_k=5, explanation_size=size
+                ),
+            )
+
+        narrow = session.evaluate(window(1), attack, victims, factory)
+        wide = session.evaluate(window(40), attack, victims, factory)
         # A 1-edge inspection window can only expose at most as many
         # adversarial edges as a 40-edge one (same seeds throughout).
         assert narrow.recall <= wide.recall + 1e-12
@@ -195,3 +198,26 @@ class TestArenaThroughSession:
         session.arena(self.GRID, store, progress=lines.append)
         assert len(lines) == self.GRID.num_cells
         assert all("cached, 0 executed" in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "axes, error, fragment",
+        [
+            ({"datasets": ("cora", "bogus")}, KeyError, "unknown dataset"),
+            ({"budget_caps": ("3",)}, ValueError, "budget_caps .* integers"),
+            ({"hidden_dims": (0,)}, ValueError, "hidden_dims .* >= 1"),
+            ({"seeds": (1.5,)}, ValueError, "seeds .* integers"),
+            ({"seeds": (-1,)}, ValueError, "seeds .* >= 0"),
+            ({"budget_caps": (True,)}, ValueError, "budget_caps .* integers"),
+        ],
+    )
+    def test_bad_grid_rejected_before_any_work(
+        self, session, tmp_path, axes, error, fragment
+    ):
+        """Datasets and numeric axes are validated before the first cell."""
+        grid = ScenarioGrid(
+            **{"attacks": ("DICE",), "defenses": ("none",), **axes}
+        )
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(error, match=fragment):
+            session.arena(grid, store)
+        assert len(store) == 0

@@ -28,7 +28,6 @@ from repro.api.specs import (
     AttackSpec,
     DatasetSpec,
     DefenseSpec,
-    EvalSpec,
     ExplainerSpec,
     ModelSpec,
     ScenarioSpec,
@@ -136,7 +135,6 @@ class TestRoundTrips:
             DatasetSpec("acm", 0.25),
             ModelSpec.from_config(TWEAKED, hidden=48),
             VictimPolicy.from_config(TWEAKED),
-            EvalSpec.from_config(TWEAKED),
         ],
         ids=lambda spec: type(spec).__name__,
     )

@@ -1,9 +1,8 @@
 """Attack infrastructure: candidates, results, the fast dense forward."""
 
 import numpy as np
-import pytest
 
-from repro.attacks import CandidatePolicy, DenseGCNForward, candidate_nodes
+from repro.attacks import DenseGCNForward, candidate_nodes
 from repro.attacks.base import AttackResult
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.graph import normalize_adjacency
@@ -12,7 +11,7 @@ from repro.graph import normalize_adjacency
 class TestCandidatePolicies:
     def test_excludes_self_and_neighbors(self, tiny_graph):
         node = 10
-        candidates = candidate_nodes(tiny_graph, node, policy=CandidatePolicy.ANY)
+        candidates = candidate_nodes(tiny_graph, node, target_label=None)
         assert node not in candidates
         assert not set(tiny_graph.neighbors(node).tolist()) & set(
             candidates.tolist()
@@ -22,16 +21,6 @@ class TestCandidatePolicies:
         label = int(tiny_graph.labels[0])
         candidates = candidate_nodes(tiny_graph, 10, target_label=label)
         assert np.all(tiny_graph.labels[candidates] == label)
-
-    def test_target_label_policy_requires_label(self, tiny_graph):
-        with pytest.raises(ValueError):
-            candidate_nodes(
-                tiny_graph, 10, policy=CandidatePolicy.TARGET_LABEL
-            )
-
-    def test_unknown_policy_rejected(self, tiny_graph):
-        with pytest.raises(ValueError):
-            candidate_nodes(tiny_graph, 10, policy="bogus")
 
     def test_default_policy_follows_label(self, tiny_graph):
         with_label = candidate_nodes(tiny_graph, 10, target_label=0)

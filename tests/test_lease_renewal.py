@@ -17,7 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Session
+from repro.api import session as session_module
 from repro.arena import ResultStore, ScenarioGrid
+from repro.arena import store as store_module
 from repro.experiments import SCALE_PRESETS
 
 
@@ -119,6 +121,8 @@ class TestSlowCellExecutesOnce:
             return original(self, run, store, cell, case, cfg, missing)
 
         monkeypatch.setattr(Session, "_execute_missing", slow_execute)
+        monkeypatch.setattr(store_module, "LEASE_TTL", 0.3)
+        monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
 
         store_root = tmp_path / "store"
         ctx = multiprocessing.get_context("fork")
@@ -128,12 +132,7 @@ class TestSlowCellExecutesOnce:
             # The forked child inherits the pre-trained cases and the
             # slowed-down ``_execute_missing``.
             session = Session(config=CONFIG, cases=cases)
-            run = session.arena(
-                GRID,
-                ResultStore(store_root),
-                lease_ttl=0.3,
-                poll_interval=0.05,
-            )
+            run = session.arena(GRID, ResultStore(store_root))
             outcomes.put((slot, run))
 
         processes = [

@@ -30,6 +30,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Session
+from repro.api import session as session_module
 from repro.api.events import (
     CellDeferred,
     CellExecuted,
@@ -207,6 +208,26 @@ class TestEndpoints:
         assert err.value.status == 400
         assert "unknown adapted defense 'bogus'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "axes, fragment",
+        [
+            ({"datasets": ["bogus"]}, "unknown dataset 'bogus'"),
+            ({"budget_caps": ["3"]}, "budget_caps entries must be integers"),
+            ({"hidden_dims": [0]}, "hidden_dims entries must be >= 1"),
+            ({"seeds": [1.5]}, "seeds entries must be integers"),
+            ({"seeds": [-1]}, "seeds entries must be >= 0"),
+        ],
+    )
+    def test_bad_dataset_or_numeric_entry_rejected_at_post(
+        self, service, axes, fragment
+    ):
+        """A grid that could only fail later is a 400 at submit time."""
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as err:
+            client.submit(grid=axes)
+        assert err.value.status == 400
+        assert fragment in str(err.value)
+
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError) as err:
@@ -292,9 +313,10 @@ class TestScenarioSubmission:
 
 class TestExactlyOnce:
     def test_concurrent_overlapping_jobs_execute_each_cell_once(
-        self, tmp_path, shared_cases
+        self, tmp_path, shared_cases, monkeypatch
     ):
         """Two jobs over overlapping grids queued on one server."""
+        monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
         overlap = ScenarioGrid(
             attacks=("FGA-T", "DICE"), defenses=("none",),
             budget_caps=(2,), seeds=(0,),
@@ -303,8 +325,8 @@ class TestExactlyOnce:
             tmp_path / "store", config=CONFIG, workers=2, cases=shared_cases
         ) as service:
             client = ServiceClient(service.url)
-            first = client.submit(grid=overlap, poll_interval=0.05)
-            second = client.submit(grid=overlap, poll_interval=0.05)
+            first = client.submit(grid=overlap)
+            second = client.submit(grid=overlap)
             a, b = client.wait(first), client.wait(second)
         # Unique work: 2 cells × 3 victims; every attack ran exactly once.
         assert a["executed"] + b["executed"] == 6
@@ -312,8 +334,11 @@ class TestExactlyOnce:
         assert b["executed"] + b["loaded"] == 6
         assert len(ResultStore(tmp_path / "store").keys()) == 6
 
-    def test_per_job_manifests_are_exact(self, tmp_path, shared_cases):
+    def test_per_job_manifests_are_exact(
+        self, tmp_path, shared_cases, monkeypatch
+    ):
         """Overlapping duplicate jobs: each manifest counts only its writes."""
+        monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
         overlap = ScenarioGrid(
             attacks=("FGA-T", "DICE"), defenses=("none",),
             budget_caps=(2,), seeds=(0,),
@@ -328,8 +353,7 @@ class TestExactlyOnce:
         ) as service:
             client = ServiceClient(service.url)
             jobs = [
-                client.submit(grid=grid, poll_interval=0.05)
-                for grid in (overlap, subset, overlap)
+                client.submit(grid=grid) for grid in (overlap, subset, overlap)
             ]
             statuses = [client.wait(job) for job in jobs]
         writes = [
@@ -340,9 +364,11 @@ class TestExactlyOnce:
         assert sum(writes) == len(ResultStore(store_root).keys())
 
     def test_second_server_process_shares_the_store(
-        self, tmp_path, shared_cases
+        self, tmp_path, shared_cases, monkeypatch
     ):
         """Two *servers* (separate processes) over one store, same grid."""
+        # Patched before forking, so both server processes poll quickly.
+        monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
         store_root = tmp_path / "store"
         ctx = multiprocessing.get_context("fork")
         urls = ctx.Queue()
@@ -361,8 +387,8 @@ class TestExactlyOnce:
             process.start()
         try:
             one, two = urls.get(timeout=60), urls.get(timeout=60)
-            job_a = ServiceClient(one).submit(grid=GRID, poll_interval=0.05)
-            job_b = ServiceClient(two).submit(grid=GRID, poll_interval=0.05)
+            job_a = ServiceClient(one).submit(grid=GRID)
+            job_b = ServiceClient(two).submit(grid=GRID)
             a = ServiceClient(one).wait(job_a)
             b = ServiceClient(two).wait(job_b)
         finally:

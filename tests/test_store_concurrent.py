@@ -15,6 +15,7 @@ import time
 from dataclasses import replace
 
 from repro.api import Session
+from repro.api import session as session_module
 from repro.arena import (
     ResultStore,
     ScenarioGrid,
@@ -130,7 +131,9 @@ def test_racing_writers_never_tear_records(tmp_path):
     assert list(root.rglob("*.corrupt")) == []
 
 
-def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
+def test_two_arena_writers_execute_each_cell_exactly_once(
+    tmp_path, monkeypatch
+):
     """Two forked ``Session.arena`` calls over overlapping grids, one store.
 
     Accepts exactly the ISSUE contract: the union of work executes once
@@ -146,6 +149,8 @@ def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
     subset_text = render_arena_matrices(session.arena(SUBSET_GRID, ref_store))
 
     shared_root = tmp_path / "shared"
+    # Patched before forking, so the deferred writer re-polls quickly.
+    monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     barrier = ctx.Barrier(2)
@@ -155,7 +160,7 @@ def test_two_arena_writers_execute_each_cell_exactly_once(tmp_path):
         # both runs reach attack execution (the contended phase) fast.
         barrier.wait()
         run = Session(CONFIG, cases=dict(cases)).arena(
-            grid, ResultStore(shared_root), poll_interval=0.05
+            grid, ResultStore(shared_root)
         )
         queue.put((tag, run.executed, run.loaded, render_arena_matrices(run)))
 
