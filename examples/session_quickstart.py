@@ -5,7 +5,8 @@ Demonstrates the three layers of ``repro.api`` on a tiny configuration:
 1. **Specs** — typed, frozen, exactly-round-tripping descriptions of what
    to run (``AttackSpec``, ``ExplainerSpec``, experiment objects);
 2. **Registry** — self-describing construction: every attack declares its
-   config-fed knobs, and ``build_attack`` wires them for a prepared case;
+   config-fed knobs, and ``build_attack(spec, case)`` checks a spec
+   against them and builds the attack for a prepared case;
 3. **Session** — owns the caches (trained models, victim sets, fitted
    explainers) and streams typed per-victim events from ``run(...)``.
 
@@ -21,6 +22,7 @@ from repro.api import (
     Session,
     TableExperiment,
     attack_spec,
+    build_attack,
     events,
 )
 from repro.experiments import SCALE_PRESETS, format_comparison_table
@@ -44,7 +46,7 @@ def main():
 
     print("\n== 2. registry construction ==")
     case = session.case(args.dataset)
-    attack = spec.build(case)  # seeded by the shared convention
+    attack = build_attack(spec, case)  # seeded by the shared convention
     print(f"built {attack.name} (seed {attack.seed}) for {case.graph}")
 
     print("\n== 3. streaming execution ==")

@@ -6,10 +6,14 @@ Three layers, importable à la carte:
   (``ModelSpec``, ``AttackSpec``, ``DefenseSpec``, ``ExplainerSpec``,
   ``VictimPolicy``, the composite ``ScenarioSpec`` and the
   experiment descriptions).  Their dicts are the same canonical
-  serialization the arena's content-addressed store hashes.
-* :mod:`repro.api.registry` — self-describing construction recipes
-  generated from each component's declared ``config_params`` schema
-  (``build_attack`` / ``build_defense`` / ``build_explainer_factory``).
+  serialization the arena's content-addressed store hashes; specs are
+  pure data with no construction methods.
+* :mod:`repro.api.registry` — the one construction path
+  (``build_attack`` / ``build_defense`` / ``build_explainer_factory``):
+  each checks a spec's params against the component's declared
+  ``config_params`` and calls the class directly.  Registering a
+  component means: subclass, declare ``config_params``, register; it is
+  built as ``cls(model, **kwargs)``.
 * :mod:`repro.api.session` — :class:`Session`, owning the cross-call
   caches and executing every experiment (table, sweep, arena) through
   one streaming ``run(experiment)`` entry point.
@@ -50,6 +54,7 @@ _EXPORTS = {
     "ArenaExperiment": "repro.api.specs",
     # registry
     "EXPLAINERS": "repro.api.registry",
+    "attack_class": "repro.api.registry",
     "attack_spec": "repro.api.registry",
     "attacker_case": "repro.api.registry",
     "build_attack": "repro.api.registry",

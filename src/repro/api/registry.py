@@ -10,6 +10,12 @@ module closes the loop: it derives typed specs from a config
 :func:`build_explainer_factory`) and exposes the generated parameter
 schemas (:func:`registry_schema`) to ``python -m repro describe``.
 
+It is the only code that turns a spec into a live component: each
+``build_*`` checks the spec's params against the class's declaration
+(:func:`repro.schema.spec_kwargs`) and calls the class directly —
+``cls(case.model, seed=..., **kwargs)`` for an attack,
+``cls(case.model, **kwargs, **runtime)`` for a defense.
+
 Registering a new attack in :mod:`repro.attacks` — with an optional
 ``config_params`` declaration — is therefore enough to expose it to the
 table runner, the sweeps, the arena axis, the CLI and the store keys,
@@ -30,18 +36,19 @@ from dataclasses import dataclass
 from repro.api.specs import AttackSpec, DefenseSpec, ExplainerSpec, ScenarioSpec
 from repro.api.specs import DatasetSpec, ModelSpec, ThreatModel, VictimPolicy
 from repro.attacks import ATTACKS, EXTENSION_ATTACKS, FEATURE_ATTACKS
-from repro.defense import DEFENSES, make_defense
+from repro.defense import DEFENSES
 from repro.explain import (
     GNNExplainer,
     GradExplainer,
     OcclusionExplainer,
     PGExplainer,
 )
-from repro.schema import ConfigParam, resolve_params, schema_rows
+from repro.schema import ConfigParam, resolve_params, schema_rows, spec_kwargs
 
 __all__ = [
     "INSPECTOR_SEED_OFFSET",
     "PG_SEED_OFFSET",
+    "SPEC_SEED_OFFSET",
     "EXPLAINERS",
     "attack_class",
     "attack_spec",
@@ -55,10 +62,20 @@ __all__ = [
     "registry_schema",
 ]
 
+#: Seed offset of every attack built at a spec
+#: (``attack_seed = case.seed + SPEC_SEED_OFFSET``).
+SPEC_SEED_OFFSET = 21
 #: Seed offset of every freshly-constructed GNNExplainer inspector.
 INSPECTOR_SEED_OFFSET = 41
 #: Seed offset of every fitted PGExplainer.
 PG_SEED_OFFSET = 31
+
+
+def _lookup(kind, registry, name):
+    """``registry[name]``, or a KeyError listing the registered names."""
+    if name not in registry:
+        raise KeyError(f"unknown {kind} {name!r}; options: {sorted(registry)}")
+    return registry[name]
 
 
 # -- attacks -----------------------------------------------------------------
@@ -71,12 +88,7 @@ def _attack_registry():
 
 def attack_class(name):
     """Registered attack class for ``name`` (KeyError lists options)."""
-    registry = _attack_registry()
-    if name not in registry:
-        raise KeyError(
-            f"unknown attack {name!r}; options: {sorted(registry)}"
-        )
-    return registry[name]
+    return _lookup("attack", _attack_registry(), name)
 
 
 def attack_spec(name, config):
@@ -84,19 +96,23 @@ def attack_spec(name, config):
 
     The spec's params are generated from the class's ``config_params``
     declaration, so they contain exactly the knobs that determine this
-    attack's results — the scoping property the store keys rely on.
+    attack's results — the scoping property the store keys rely on
+    (changing ``geattack_lam`` must invalidate GEAttack cells but not
+    Nettack's).
     """
-    return AttackSpec(name, attack_class(name).spec_params(config))
+    return AttackSpec(
+        name, resolve_params(attack_class(name).config_params, config)
+    )
 
 
 def build_attack(spec, case, config=None, context=None, seed=None, threat=None):
     """Instantiate an attack from a spec (or name) for a prepared case.
 
-    ``context`` is any object with the :class:`repro.api.Session` cache
-    protocol (``pg_explainer(case)``, ``attacker_case(case, threat)``);
-    without one, dependencies are fitted fresh per call.  ``seed``
-    overrides the shared ``case.seed + 21`` construction convention (the
-    sweeps use their own historical offsets).
+    ``context`` is the :class:`repro.api.Session` whose caches serve
+    dependencies (fitted PGExplainers, surrogate cases); without one they
+    are fitted fresh per call.  ``seed`` overrides the shared
+    ``case.seed + SPEC_SEED_OFFSET`` construction convention (the sweeps
+    use their own historical offsets).
 
     ``threat`` (a :class:`~repro.api.specs.ThreatModel` or its string
     form) selects the attacker's model: under surrogate knowledge the
@@ -114,40 +130,37 @@ def build_attack(spec, case, config=None, context=None, seed=None, threat=None):
     config = case.config if config is None else config
     if isinstance(spec, str):
         spec = attack_spec(spec, config)
+    cls = attack_class(spec.name)
+    kwargs = spec_kwargs(
+        f"attack {spec.name!r}", cls.config_params, spec.params
+    )
     if threat is not None:
         case = attacker_case(case, threat, context=context)
-    cls = attack_class(spec.name)
-    dependencies = {}
     if "pg_explainer" in cls.requires:
-        dependencies["pg_explainer"] = (
+        kwargs["pg_explainer"] = (
             context.pg_explainer(case)
             if context is not None
             else fit_pg_explainer(case, config)
         )
-    return cls.from_spec(case, spec, dependencies=dependencies, seed=seed)
+    seed = case.seed + SPEC_SEED_OFFSET if seed is None else int(seed)
+    return cls(case.model, seed=seed, **kwargs)
 
 
 def attacker_case(case, threat, context=None):
     """The case the attacker actually optimizes against under ``threat``.
 
     White-box threats return ``case`` itself; surrogate threats return a
-    :func:`repro.threat.surrogate_case` (served from the ``context``'s
-    cache when one is given, so one surrogate training run covers every
-    cell sharing the victim case and surrogate settings).
+    :func:`repro.threat.surrogate_case` (served from the ``context``
+    Session's cache when one is given, so one surrogate training run
+    covers every cell sharing the victim case and surrogate settings).
     """
     from repro.threat import surrogate_case
 
     threat = ThreatModel.parse(threat)
     if not threat.is_surrogate:
         return case
-    if context is not None and hasattr(context, "surrogate_case"):
-        return context.surrogate_case(
-            case,
-            hidden=threat.surrogate_hidden,
-            seed=threat.surrogate_seed,
-            arch=threat.surrogate_arch,
-        )
-    return surrogate_case(
+    train = surrogate_case if context is None else context.surrogate_case
+    return train(
         case,
         hidden=threat.surrogate_hidden,
         seed=threat.surrogate_seed,
@@ -199,9 +212,8 @@ def scenario_spec(cell, config):
 
 def defense_spec(name, config):
     """Typed spec of a registered defense at ``config``'s operating point."""
-    if name not in DEFENSES:
-        raise KeyError(f"unknown defense {name!r}; options: {sorted(DEFENSES)}")
-    return DefenseSpec(name, resolve_params(DEFENSES[name].config_params, config))
+    cls = _lookup("defense", DEFENSES, name)
+    return DefenseSpec(name, resolve_params(cls.config_params, config))
 
 
 def build_defense(spec, case, config=None, context=None, **runtime):
@@ -214,21 +226,15 @@ def build_defense(spec, case, config=None, context=None, **runtime):
     config = case.config if config is None else config
     if isinstance(spec, str):
         spec = defense_spec(spec, config)
-    if spec.name not in DEFENSES:
-        raise KeyError(
-            f"unknown defense {spec.name!r}; options: {sorted(DEFENSES)}"
-        )
-    factory = None
-    if DEFENSES[spec.name].requires_explainer:
-        factory = build_explainer_factory(
+    cls = _lookup("defense", DEFENSES, spec.name)
+    kwargs = spec_kwargs(
+        f"defense {spec.name!r}", cls.config_params, spec.params
+    )
+    if cls.requires_explainer:
+        kwargs["explainer_factory"] = build_explainer_factory(
             "gnn", case, config=config, context=context
         )
-    return make_defense(
-        spec.name,
-        case.model,
-        explainer_factory=factory,
-        **{**dict(spec.params), **runtime},
-    )
+    return cls(case.model, **kwargs, **runtime)
 
 
 # -- explainers --------------------------------------------------------------
@@ -281,31 +287,24 @@ EXPLAINERS = {
 
 
 def build_explainer_factory(spec, case, config=None, context=None):
-    """``callable(graph) -> explainer`` for a spec and a prepared case.
+    """``callable(graph) -> explainer`` for a kind (or spec) and a case.
 
-    GNNExplainer-style inspectors construct fresh (seeded) per call so
-    inspection is independent of victim order and of ``jobs``; fitted
-    inspectors (PGExplainer) train once per case — through the session
-    cache when a ``context`` is given — and are returned as constants.
+    ``spec`` is an :data:`EXPLAINERS` kind, or an
+    :class:`~repro.api.specs.ExplainerSpec` whose params override the
+    config's operating point.  GNNExplainer-style inspectors construct
+    fresh (seeded) per call so inspection is independent of victim order
+    and of ``jobs``; fitted inspectors (PGExplainer) train once per case —
+    through the ``context`` Session's cache when one is given — and are
+    returned as constants.
     """
     config = case.config if config is None else config
     if isinstance(spec, str):
         spec = ExplainerSpec(spec)
-    if spec.kind not in EXPLAINERS:
-        raise KeyError(
-            f"unknown explainer {spec.kind!r}; options: {sorted(EXPLAINERS)}"
-        )
-    recipe = EXPLAINERS[spec.kind]
-    overrides = dict(spec.params)
-    declared = {p.name: p for p in recipe.params}
-    unknown = sorted(set(overrides) - set(declared))
-    if unknown:
-        raise ValueError(
-            f"explainer {spec.kind!r} spec carries undeclared params "
-            f"{unknown}; declared: {sorted(declared)}"
-        )
-    defaults = {name: param.resolve(config) for name, param in declared.items()}
-    resolved = {**defaults, **overrides}
+    recipe = _lookup("explainer", EXPLAINERS, spec.kind)
+    defaults = resolve_params(recipe.params, config)
+    resolved = {**defaults, **dict(spec.params)}
+    kwargs = spec_kwargs(f"explainer {spec.kind!r}", recipe.params, resolved)
+    kwargs.update(recipe.static)
     if recipe.fitted:
         # The session cache only serves the config-default operating point
         # (that is what fit_pg_explainer stores); explicit spec overrides
@@ -317,27 +316,15 @@ def build_explainer_factory(spec, case, config=None, context=None):
         ):
             explainer = context.pg_explainer(case)
         else:
-            ctor = {
-                name: value
-                for name, value in resolved.items()
-                if declared[name].constructor
-            }
-            ctor.update(recipe.static)
             fit_kwargs = {
-                name: value
-                for name, value in resolved.items()
-                if not declared[name].constructor
+                param.name: resolved[param.name]
+                for param in recipe.params
+                if not param.constructor
             }
             explainer = recipe.cls(
-                case.model, seed=case.seed + PG_SEED_OFFSET, **ctor
+                case.model, seed=case.seed + PG_SEED_OFFSET, **kwargs
             ).fit(case.graph, **fit_kwargs)
         return lambda _graph: explainer
-    kwargs = {
-        name: value
-        for name, value in resolved.items()
-        if declared[name].constructor
-    }
-    kwargs.update(recipe.static)
     if recipe.cls is GNNExplainer:
         kwargs["seed"] = case.seed + INSPECTOR_SEED_OFFSET
     return lambda _graph: recipe.cls(case.model, **kwargs)

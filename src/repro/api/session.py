@@ -48,12 +48,12 @@ from repro.api.registry import (
     attack_spec,
     build_attack,
     build_defense,
+    build_explainer_factory,
     fit_pg_explainer,
 )
 from repro.api.specs import (
     ArenaExperiment,
     DefenseSpec,
-    ExplainerSpec,
     SweepExperiment,
     TableExperiment,
 )
@@ -265,7 +265,7 @@ def iter_sweep_events(
             f"unknown sweep kind {kind!r}; options: {sorted(_SWEEP_GRIDS)}"
         )
     config = case.config
-    factory = explainer_factory or ExplainerSpec("gnn").build(case, config)
+    factory = explainer_factory or build_explainer_factory("gnn", case, config)
     values = _SWEEP_GRIDS[kind] if values is None else values
     seed = case.seed + _SWEEP_SEED_OFFSETS[kind]
     base_spec = attack_spec("GEAttack", config)
@@ -544,11 +544,11 @@ class Session:
                 pg = None
                 if experiment.explainer == "pg":
                     pg = self.pg_explainer(case)
-                    factory = ExplainerSpec("pg").build(
-                        case, config, context=self
+                    factory = build_explainer_factory(
+                        "pg", case, config, context=self
                     )
                 else:
-                    factory = ExplainerSpec("gnn").build(case, config)
+                    factory = build_explainer_factory("gnn", case, config)
                 evaluations = {}
                 for name in METHOD_ORDER:
                     if name not in wanted:

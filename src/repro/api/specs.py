@@ -8,8 +8,10 @@ serialization drives construction, storage keys and resume compatibility —
 two code paths can never drift apart.
 
 Specs are pure data (this module imports only the stdlib); the recipes
-that turn them into live objects live in :mod:`repro.api.registry`, and
-the convenience ``build`` methods here simply defer to it.
+that turn them into live objects — :func:`~repro.api.registry.build_attack`,
+:func:`~repro.api.registry.build_defense` and
+:func:`~repro.api.registry.build_explainer_factory` — live in
+:mod:`repro.api.registry`.
 """
 
 from __future__ import annotations
@@ -181,19 +183,6 @@ class AttackSpec(_NamedParamsSpec):
     name: str
     params: tuple = ()
 
-    def build(self, case, config=None, context=None, seed=None, threat=None):
-        """Instantiate the attack for a prepared case (via the registry).
-
-        ``threat`` (a :class:`ThreatModel`) builds the attack against the
-        attacker's model — a trained surrogate under surrogate knowledge —
-        instead of the victim model itself.
-        """
-        from repro.api.registry import build_attack
-
-        return build_attack(
-            self, case, config=config, context=context, seed=seed, threat=threat
-        )
-
 
 @dataclass(frozen=True)
 class DefenseSpec(_NamedParamsSpec):
@@ -208,23 +197,14 @@ class ExplainerSpec(_NamedParamsSpec):
     """One registered explainer/inspector construction recipe.
 
     ``kind`` is a :data:`repro.api.registry.EXPLAINERS` key (``"gnn"``,
-    ``"pg"``, ``"gnn-features"``, ``"grad"``, ``"occlusion"``).  The single
-    :meth:`build` replaces the per-runner factory helpers that used to be
-    duplicated across the table runner, the arena and the CLI.
+    ``"pg"``, ``"gnn-features"``, ``"grad"``, ``"occlusion"``); ``params``
+    override the kind's config-fed operating point.
     """
 
     _id_field = "kind"
 
     kind: str = "gnn"
     params: tuple = ()
-
-    def build(self, case, config=None, context=None):
-        """``callable(graph) -> explainer`` factory for a prepared case."""
-        from repro.api.registry import build_explainer_factory
-
-        return build_explainer_factory(
-            self, case, config=config, context=context
-        )
 
 
 #: Legal values of :attr:`ThreatModel.knowledge`.

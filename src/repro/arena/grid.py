@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.api.specs import SCHEMA_VERSION, ThreatModel
+from repro.schema import spec_kwargs
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -166,7 +167,9 @@ def validate_grid(grid):
     options.  Then every ``hidden_dims``/``budget_caps``/``seeds`` entry
     must be a plain ``int`` (not a ``bool`` or a string, which would hash
     to a different store key or fail mid-run), widths and budgets at least
-    1 and seeds non-negative; anything else raises :class:`ValueError`.
+    1 and seeds non-negative, and an adapted defense's params must be ones
+    it declares (:func:`repro.schema.spec_kwargs`); anything else raises
+    :class:`ValueError`.
     ``Session`` lets both propagate, the job server answers 400 and the
     CLI exits with a one-line ``error:``.
     """
@@ -198,10 +201,16 @@ def validate_grid(grid):
                 f"options: {sorted(ARCHITECTURES)}"
             )
     for threat in grid.threats:
-        if threat.is_adaptive and threat.defense not in DEFENSES:
-            raise KeyError(
-                f"unknown adapted defense {threat.defense!r}; "
-                f"options: {sorted(DEFENSES)}"
+        if threat.is_adaptive:
+            if threat.defense not in DEFENSES:
+                raise KeyError(
+                    f"unknown adapted defense {threat.defense!r}; "
+                    f"options: {sorted(DEFENSES)}"
+                )
+            spec_kwargs(
+                f"defense {threat.defense!r}",
+                DEFENSES[threat.defense].config_params,
+                threat.defense_params,
             )
         if (
             threat.surrogate_arch is not None

@@ -64,10 +64,9 @@ LEASE_TTL = 900.0
 _PUT, _DROP = "v2", "v2-drop"
 
 #: Leading bytes of a gzip stream — how ``get`` recognizes a compressed
-#: record (a JSON record can never begin with 0x1f).
+#: record written by an earlier version (a JSON record can never begin
+#: with 0x1f).  ``put`` always writes plain JSON.
 _GZIP_MAGIC = b"\x1f\x8b"
-_ENV_COMPRESS = "REPRO_STORE_COMPRESS"
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 @dataclass
@@ -170,14 +169,8 @@ class ResultStore:
     MANIFEST_NAME = "MANIFEST"
     LEASE_DIR = ".leases"
 
-    def __init__(self, root, compress=None):
+    def __init__(self, root):
         self.root = Path(root)
-        #: ``True``/``False`` force record compression on/off for this
-        #: instance; ``None`` (the default) defers to the
-        #: ``REPRO_STORE_COMPRESS`` environment variable at each ``put``.
-        #: Reads never need the flag — ``get`` recognizes a compressed
-        #: record by its gzip magic — so mixed stores are first-class.
-        self.compress = compress
         self._index_cache = None
         self._bulk_depth = 0
         self._pending_lines = []
@@ -402,22 +395,11 @@ class ResultStore:
         line is appended and fsync'd — readers index the record from
         there, and ``get`` falls back to the path itself for the
         crash window between the two steps.
-
-        With compression on (``compress=True``, or the
-        ``REPRO_STORE_COMPRESS=1`` environment opt-in) the record is
-        stored as a deterministic gzip stream (``mtime=0`` — same
-        payload, same bytes) and the manifest's length/sha are computed
-        over those stored bytes.  Readers need no flag: ``get`` detects
-        the gzip magic, so compressed and plain records mix freely in one
-        store and resume exactly.
         """
         metrics.incr("store.writes")
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = canonical_json(payload).encode("utf-8")
-        if self._compress_enabled():
-            metrics.incr("store.compressed_writes")
-            blob = gzip.compress(blob, mtime=0)
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             temp.write_bytes(blob)
@@ -451,12 +433,6 @@ class ResultStore:
             self._sync_directory(path.parent)
             self._append_manifest([line])
         self._index[key] = (relpath, len(blob), digest)
-
-    def _compress_enabled(self):
-        if self.compress is not None:
-            return bool(self.compress)
-        flag = os.environ.get(_ENV_COMPRESS, "")
-        return flag.strip().lower() in _TRUTHY
 
     @contextmanager
     def bulk(self):

@@ -82,13 +82,6 @@ FEATURE_ATTACKS = {
 }
 
 
-def make_attack(name, model, **kwargs):
-    """Instantiate an attack from the registry by its paper name."""
-    if name not in ATTACKS:
-        raise KeyError(f"unknown attack {name!r}; options: {sorted(ATTACKS)}")
-    return ATTACKS[name](model, **kwargs)
-
-
 __all__ = [
     "ATTACKS",
     "EXTENSION_ATTACKS",
@@ -120,7 +113,6 @@ __all__ = [
     "estimate_powerlaw_alpha",
     "evasion_matrix",
     "graph_with_features_flipped",
-    "make_attack",
     "powerlaw_log_likelihood",
     "record_trace",
     "select_best_candidate",

@@ -33,7 +33,6 @@ __all__ = [
     "backend_from_env",
     "DenseGCNForward",
     "DenseModelForward",
-    "SPEC_SEED_OFFSET",
     "VictimSpec",
     "candidate_nodes",
     "coerce_victim",
@@ -55,12 +54,6 @@ def backend_from_env():
             f"unknown compute backend {value!r} (expected one of: dense, sparse)"
         )
     return name
-
-
-#: Seed convention every runner uses when building attacks from specs:
-#: ``attack_seed = case.seed + SPEC_SEED_OFFSET`` (historically 21 in both
-#: the table runner and the arena, now shared through one constant).
-SPEC_SEED_OFFSET = 21
 
 
 @dataclass
@@ -451,8 +444,8 @@ class Attack:
     #: this tuple — registering an attack with a declaration is enough to
     #: expose it everywhere.
     config_params = ()
-    #: Named dependencies :meth:`from_spec` needs beyond the model (e.g.
-    #: ``"pg_explainer"``); supplied by the session/registry builder.
+    #: Named constructor dependencies beyond the model (e.g.
+    #: ``"pg_explainer"``); :func:`repro.api.build_attack` supplies them.
     requires = ()
 
     def __init__(self, model, seed=0):
@@ -470,46 +463,6 @@ class Attack:
         if self.sparse and getattr(model, "arch", "gcn") != "gcn":
             metrics.incr("backend.arch_dense_fallback")
             self.sparse = False
-
-    # -- spec protocol -------------------------------------------------------
-    @classmethod
-    def spec_params(cls, config):
-        """The operating-point knobs this attack reads from ``config``.
-
-        This dict is the attack's contribution to the arena's content keys
-        (scoped per consumer: changing ``geattack_lam`` must invalidate
-        GEAttack cells but not Nettack's) and the parameter payload of an
-        :class:`repro.api.AttackSpec`.
-        """
-        return {p.name: p.resolve(config) for p in cls.config_params}
-
-    @classmethod
-    def _spec_kwargs(cls, spec):
-        """Constructor kwargs from a spec's params (declared names only)."""
-        params = dict(spec.params)
-        declared = {p.name: p for p in cls.config_params}
-        unknown = sorted(set(params) - set(declared))
-        if unknown:
-            raise ValueError(
-                f"{spec.name!r} spec carries undeclared params {unknown}; "
-                f"declared: {sorted(declared)}"
-            )
-        return {
-            name: value
-            for name, value in params.items()
-            if declared[name].constructor
-        }
-
-    @classmethod
-    def from_spec(cls, case, spec, dependencies=None, seed=None):
-        """Instantiate this attack for a prepared case at a spec's knobs.
-
-        ``seed`` defaults to the shared construction convention
-        ``case.seed + SPEC_SEED_OFFSET`` used by every experiment runner.
-        Subclasses needing extra ``dependencies`` override this.
-        """
-        seed = case.seed + SPEC_SEED_OFFSET if seed is None else int(seed)
-        return cls(case.model, seed=seed, **cls._spec_kwargs(spec))
 
     # -- api ----------------------------------------------------------------
     def attack(self, graph, target_node, target_label, budget):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.attacks.base import SPEC_SEED_OFFSET, Attack, record_trace
+from repro.attacks.base import Attack, record_trace
 from repro.schema import ConfigParam
 from repro.attacks.fga import targeted_loss
 from repro.attacks.locality import IdentityScene
@@ -422,18 +422,6 @@ class GEAttackPG(Attack):
         ConfigParam("pg_instances", "pg_instances", constructor=False),
     )
     requires = ("pg_explainer",)
-
-    @classmethod
-    def from_spec(cls, case, spec, dependencies=None, seed=None):
-        pg_explainer = (dependencies or {}).get("pg_explainer")
-        if pg_explainer is None:
-            raise ValueError(
-                "GEAttack-PG requires a fitted 'pg_explainer' dependency "
-                "(build it through a repro.api.Session, which caches one "
-                "per prepared case)"
-            )
-        seed = case.seed + SPEC_SEED_OFFSET if seed is None else int(seed)
-        return cls(case.model, pg_explainer, seed=seed, **cls._spec_kwargs(spec))
 
     def __init__(
         self,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.api import ExplainerSpec, Session, build_attack
+from repro.api import Session, build_attack, build_explainer_factory
 from repro.datasets import load_dataset
 from repro.experiments import (
     SCALE_PRESETS,
@@ -284,7 +284,7 @@ def main(argv=None):
         _preliminary(
             session,
             case,
-            ExplainerSpec("gnn").build(case, config),
+            build_explainer_factory("gnn", case, config),
             f"Figures 2/3 ({args.dataset.upper()}): Nettack vs GNNExplainer",
         )
     elif args.command == "fig7":
@@ -292,7 +292,7 @@ def main(argv=None):
         _preliminary(
             session,
             case,
-            ExplainerSpec("pg").build(case, config, context=session),
+            build_explainer_factory("pg", case, config, context=session),
             f"Figure 7 ({args.dataset.upper()}): Nettack vs PGExplainer",
         )
     elif args.command in ("fig4", "fig8"):
@@ -454,7 +454,7 @@ def _feature_attack(session, dataset):
 
     config = session.config
     case, victims = _case_and_victims(session, dataset)
-    factory = ExplainerSpec("gnn-features").build(case, config)
+    factory = build_explainer_factory("gnn-features", case, config)
     rows = []
     for name in ("FeatureFGA", "GEF-Attack"):
         attack = build_attack(name, case, config, seed=case.seed + 71)
@@ -484,9 +484,9 @@ def _inspector_zoo(session, dataset):
     config = session.config
     case, victims = _case_and_victims(session, dataset)
     inspectors = {
-        "GNNExplainer": ExplainerSpec("gnn").build(case, config),
-        "Gradient": ExplainerSpec("grad").build(case, config),
-        "Occlusion": ExplainerSpec("occlusion").build(case, config),
+        "GNNExplainer": build_explainer_factory("gnn", case, config),
+        "Gradient": build_explainer_factory("grad", case, config),
+        "Occlusion": build_explainer_factory("occlusion", case, config),
     }
     rows = []
     for attack_name in ("Nettack", "GEAttack"):

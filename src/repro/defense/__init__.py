@@ -12,7 +12,10 @@ All of them implement the shared :class:`Defense` protocol
 are registered in :data:`DEFENSES` next to the identity
 :class:`NoDefense` — so the robustness arena (:mod:`repro.arena`)
 enumerates defenses exactly the way the differential harness enumerates
-:data:`repro.attacks.ATTACKS`.
+:data:`repro.attacks.ATTACKS`.  The registration contract: subclass
+:class:`Defense`, declare ``config_params``, register; the registry
+(:func:`repro.api.build_defense`) builds every entry as
+``cls(model, **kwargs)``.
 """
 
 from repro.defense.base import Defense, NoDefense
@@ -22,25 +25,12 @@ from repro.defense.svd import SVDDefense, low_rank_adjacency
 
 #: Registry keyed by each defense's ``name`` attribute.  Registering a new
 #: :class:`Defense` subclass here is enough to put it on the arena's
-#: defense axis (and under the registry conformance tests).
+#: defense axis (and under the registry conformance tests); every entry
+#: takes the model as its first constructor argument.
 DEFENSES = {
     cls.name: cls
     for cls in (NoDefense, JaccardDefense, SVDDefense, ExplainerDefense)
 }
-
-
-def make_defense(name, model, explainer_factory=None, **kwargs):
-    """Instantiate a defense from the registry by name.
-
-    ``explainer_factory`` (``callable(graph) -> explainer``) is forwarded
-    to defenses that inspect explanations; other defenses ignore it.
-    Remaining keyword arguments go to the defense constructor.
-    """
-    if name not in DEFENSES:
-        raise KeyError(f"unknown defense {name!r}; options: {sorted(DEFENSES)}")
-    return DEFENSES[name].build(
-        model, explainer_factory=explainer_factory, **kwargs
-    )
 
 
 __all__ = [
@@ -53,5 +43,4 @@ __all__ = [
     "SVDDefense",
     "jaccard_similarity",
     "low_rank_adjacency",
-    "make_defense",
 ]

@@ -17,9 +17,12 @@ it with their own inspect-and-prune protocol).  An attack *evades* a
 defense when the defended prediction is still wrong.
 
 Defenses mirror the attacks' registration contract
-(:data:`repro.attacks.ATTACKS`): subclass :class:`Defense`, register in
-:data:`repro.defense.DEFENSES`, and the arena — like the differential
-harness for attacks — enumerates the new defense automatically.
+(:data:`repro.attacks.ATTACKS`): subclass :class:`Defense`, declare
+``config_params``, register in :data:`repro.defense.DEFENSES`, and the
+arena — like the differential harness for attacks — enumerates the new
+defense automatically.  The registry builds it as ``cls(model,
+**kwargs)``, the kwargs being the spec's declared params plus any
+case-level wiring (an explainer factory, trusted edges, a prune budget).
 """
 
 from __future__ import annotations
@@ -41,26 +44,18 @@ class Defense:
     """
 
     name = "base"
-    #: Whether :meth:`build` needs an ``explainer_factory``.
+    #: Whether the constructor takes an ``explainer_factory`` (the
+    #: registry passes its GNNExplainer recipe).
     requires_explainer = False
     #: Declared config-fed knobs (:class:`repro.schema.ConfigParam`), the
     #: same self-describing contract as :attr:`repro.attacks.Attack
     #: .config_params`: ``repro.api`` generates construction kwargs and the
-    #: ``describe`` schema from this tuple.
+    #: ``describe`` schema from this tuple, and a spec may set nothing
+    #: else.
     config_params = ()
 
     def __init__(self, model=None):
         self.model = model
-
-    @classmethod
-    def build(cls, model, explainer_factory=None, **kwargs):
-        """Uniform constructor used by :func:`repro.defense.make_defense`.
-
-        Subclasses with non-standard signatures (keyword-first thresholds,
-        mandatory explainer factories) override this so the registry can
-        instantiate every defense the same way.
-        """
-        return cls(model, **kwargs)
 
     # -- protocol -----------------------------------------------------------
     def preprocess(self, graph):

@@ -92,15 +92,6 @@ class ExplainerDefense(Defense):
             else None
         )
 
-    @classmethod
-    def build(cls, model, explainer_factory=None, **kwargs):
-        if explainer_factory is None:
-            raise ValueError(
-                "ExplainerDefense needs an explainer_factory "
-                "(callable(graph) -> explainer)"
-            )
-        return cls(model, explainer_factory, **kwargs)
-
     def inspect(self, graph, node, adversarial_edges=()):
         """Inspect ``node`` on ``graph`` and prune suspicious edges.
 

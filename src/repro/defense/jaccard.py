@@ -37,22 +37,18 @@ class JaccardDefense(Defense):
 
     Parameters
     ----------
+    model:
+        Optional frozen GCN; only needed for defended :meth:`predict`.
     threshold:
         Edges with Jaccard similarity strictly below this are removed
         (reference default 0.01 — only near-zero-overlap pairs go).
-    model:
-        Optional frozen GCN; only needed for defended :meth:`predict`.
     """
 
     name = "jaccard"
 
-    def __init__(self, threshold=0.01, model=None):
+    def __init__(self, model=None, threshold=0.01):
         super().__init__(model)
         self.threshold = float(threshold)
-
-    @classmethod
-    def build(cls, model, explainer_factory=None, **kwargs):
-        return cls(model=model, **kwargs)
 
     def edge_scores(self, graph):
         """Jaccard similarity per undirected edge, aligned with the list.

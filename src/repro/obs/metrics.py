@@ -30,7 +30,6 @@ Counter catalog (the names the platform emits today):
 ``store.quarantined``            corrupt records renamed to ``*.corrupt``
 ``store.bulk_flushes``           ``bulk()`` batch commits
 ``store.fsyncs``                 record + manifest fsync syscalls
-``store.compressed_writes``      records gzip-compressed on ``put``
 ``lease.acquired/busy/stolen``   ``ResultStore.try_lease`` outcomes
 ``lease.renewed``                heartbeat TTL extensions (``Lease.renew``)
 ``arena.cells_deferred``         cells skipped on first pass (foreign lease)

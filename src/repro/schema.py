@@ -10,7 +10,8 @@ everything downstream is *generated* from those declarations:
 * the content-addressed store keys of :mod:`repro.arena.grid` (the scoped
   per-attack parameter dict that used to be a hand-maintained ``if``
   ladder),
-* constructor wiring in :mod:`repro.api.registry` (``build`` factories),
+* constructor wiring in :mod:`repro.api.registry` (the ``build_*``
+  functions, through :func:`spec_kwargs`),
 * the ``python -m repro describe`` schema listing.
 
 This module sits below every registry (stdlib-only imports) so attacks,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ConfigParam", "resolve_params", "schema_rows"]
+__all__ = ["ConfigParam", "resolve_params", "schema_rows", "spec_kwargs"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,31 @@ class ConfigParam:
 def resolve_params(params, config):
     """``{name: resolved value}`` for a ``config_params`` declaration."""
     return {param.name: param.resolve(config) for param in params}
+
+
+def spec_kwargs(label, params, values):
+    """Constructor kwargs from a spec's ``values`` under a declaration.
+
+    ``params`` is a component's ``config_params`` tuple and ``label``
+    names the component in errors (e.g. ``"defense 'jaccard'"``).  A value
+    the declaration does not name raises :class:`ValueError` listing the
+    declared params, so a typo fails before any work instead of as a
+    constructor ``TypeError`` mid-run.  Values of ``constructor=False``
+    params shape a dependency and are left out of the kwargs.
+    """
+    values = dict(values)
+    declared = {param.name: param for param in params}
+    unknown = sorted(set(values) - set(declared))
+    if unknown:
+        raise ValueError(
+            f"{label} spec carries undeclared params {unknown}; "
+            f"declared: {sorted(declared)}"
+        )
+    return {
+        name: value
+        for name, value in values.items()
+        if declared[name].constructor
+    }
 
 
 def schema_rows(params, config=None):

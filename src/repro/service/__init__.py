@@ -26,7 +26,8 @@ Endpoint reference
     timing is fixed server-side (``repro.arena.store.LEASE_TTL``,
     ``repro.api.session.POLL_INTERVAL``).  Returns 202
     ``{"job", "state", "cells"}``; 400 on unknown axes, datasets,
-    attacks, defenses, archs or threats, on non-integer or out-of-range
+    attacks, defenses, archs or threats, on adapted-defense params the
+    defense does not declare, on non-integer or out-of-range
     ``hidden_dims``/``budget_caps``/``seeds`` entries, or on a malformed
     body or ``Content-Length``; 503 once shutdown has begun.
 ``GET /jobs/<id>``

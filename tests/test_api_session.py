@@ -15,6 +15,8 @@ from repro.api import (
     Session,
     SweepExperiment,
     TableExperiment,
+    ThreatModel,
+    build_explainer_factory,
 )
 from repro.api.events import (
     CasePrepared,
@@ -96,7 +98,7 @@ class TestTableThroughSession:
 
         case, victims = session.prepared("cora")
         attack = build_attack("FGA-T", case, CONFIG)
-        factory = ExplainerSpec("gnn").build(case, CONFIG)
+        factory = build_explainer_factory("gnn", case, CONFIG)
 
         def window(size):
             return replace(
@@ -140,18 +142,29 @@ class TestSweepThroughSession:
 class TestExplainerSpecBuild:
     def test_pg_context_cache_serves_default_point(self, session):
         case = session.case("cora")
-        factory = ExplainerSpec("pg").build(case, CONFIG, context=session)
+        factory = build_explainer_factory("pg", case, CONFIG, context=session)
         assert factory(None) is session.pg_explainer(case)
 
     def test_pg_spec_overrides_bypass_cache(self, session):
         """Explicit spec params must be honored, never silently dropped."""
         case = session.case("cora")
-        factory = ExplainerSpec("pg", {"epochs": 1, "instances": 2}).build(
-            case, CONFIG, context=session
+        factory = build_explainer_factory(
+            ExplainerSpec("pg", {"epochs": 1, "instances": 2}),
+            case,
+            CONFIG,
+            context=session,
         )
         explainer = factory(None)
         assert explainer.epochs == 1
         assert explainer is not session.pg_explainer(case)
+
+
+#: An adaptive threat whose adapted-defense params carry a typo.
+ADAPTED_JACCARD_TYPO = ThreatModel(
+    adaptivity="preprocess_aware",
+    defense="jaccard",
+    defense_params={"treshold": 0.1},
+)
 
 
 class TestArenaThroughSession:
@@ -208,12 +221,18 @@ class TestArenaThroughSession:
             ({"seeds": (1.5,)}, ValueError, "seeds .* integers"),
             ({"seeds": (-1,)}, ValueError, "seeds .* >= 0"),
             ({"budget_caps": (True,)}, ValueError, "budget_caps .* integers"),
+            (
+                {"threats": (ADAPTED_JACCARD_TYPO,)},
+                ValueError,
+                r"defense 'jaccard' spec carries undeclared params "
+                r"\['treshold'\]",
+            ),
         ],
     )
     def test_bad_grid_rejected_before_any_work(
         self, session, tmp_path, axes, error, fragment
     ):
-        """Datasets and numeric axes are validated before the first cell."""
+        """Datasets, numeric axes and adapted-defense params fail early."""
         grid = ScenarioGrid(
             **{"attacks": ("DICE",), "defenses": ("none",), **axes}
         )

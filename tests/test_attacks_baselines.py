@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import attack_class
 from repro.attacks import (
     FGA,
     FGATargeted,
     FGATExplainerEvasion,
     IGAttack,
     RandomAttack,
-    make_attack,
 )
 
 
 class TestRegistry:
-    def test_make_attack_by_paper_name(self, trained_model):
-        attack = make_attack("Nettack", trained_model)
+    def test_attack_class_by_paper_name(self, trained_model):
+        attack = attack_class("Nettack")(trained_model)
         assert attack.name == "Nettack"
 
-    def test_unknown_name_raises(self, trained_model):
-        with pytest.raises(KeyError):
-            make_attack("PGD", trained_model)
+    def test_unknown_name_raises(self):
+        with pytest.raises(KeyError, match="unknown attack 'PGD'"):
+            attack_class("PGD")
 
 
 class TestRandomAttack:

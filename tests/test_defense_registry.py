@@ -1,7 +1,8 @@
 """DEFENSES registry + the shared Defense protocol contract.
 
 Mirrors the attacks' registry-conformance suite: every registered defense
-must build uniformly through ``make_defense`` and honor the
+must build uniformly as ``DEFENSES[name](model, **kwargs)`` — the one
+constructor shape ``repro.api.build_defense`` relies on — and honor the
 ``preprocess(graph)`` / ``flag(graph, node)`` protocol the arena
 enumerates.  Registering a new defense in ``repro.defense.DEFENSES`` puts
 it under these tests automatically.
@@ -12,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import build_defense
+from repro.api.specs import DefenseSpec
 from repro.attacks.base import Attack
 from repro.defense import (
     DEFENSES,
@@ -20,8 +23,8 @@ from repro.defense import (
     JaccardDefense,
     NoDefense,
     SVDDefense,
-    make_defense,
 )
+from repro.experiments import SCALE_PRESETS
 from repro.explain import GNNExplainer
 from repro.graph import Graph
 
@@ -29,8 +32,10 @@ from repro.graph import Graph
 def build_every_defense(model):
     factory = lambda _graph: GNNExplainer(model, epochs=15, seed=4)
     return {
-        name: make_defense(name, model, explainer_factory=factory)
-        for name in DEFENSES
+        name: cls(model, explainer_factory=factory)
+        if cls.requires_explainer
+        else cls(model)
+        for name, cls in DEFENSES.items()
     }
 
 
@@ -41,22 +46,24 @@ class TestRegistry:
             assert cls.name == name
             assert issubclass(cls, Defense)
 
-    def test_make_defense_unknown_name(self, trained_model):
-        with pytest.raises(KeyError, match="unknown defense"):
-            make_defense("firewall", trained_model)
+    def test_build_defense_unknown_name(self):
+        config = SCALE_PRESETS["smoke"]
+        for spec in ("firewall", DefenseSpec("firewall")):
+            with pytest.raises(KeyError, match="unknown defense 'firewall'"):
+                build_defense(spec, None, config=config)
 
     def test_explainer_requires_factory(self, trained_model):
         assert DEFENSES["explainer"].requires_explainer
-        with pytest.raises(ValueError, match="explainer_factory"):
-            make_defense("explainer", trained_model)
+        with pytest.raises(TypeError, match="explainer_factory"):
+            DEFENSES["explainer"](trained_model)
 
     def test_kwargs_reach_constructors(self, trained_model):
-        jaccard = make_defense("jaccard", trained_model, threshold=0.2)
+        jaccard = DEFENSES["jaccard"](trained_model, threshold=0.2)
         assert jaccard.threshold == 0.2
-        svd = make_defense("svd", trained_model, rank=7)
+        assert jaccard.model is trained_model
+        svd = DEFENSES["svd"](trained_model, rank=7)
         assert svd.rank == 7
-        explainer = make_defense(
-            "explainer",
+        explainer = DEFENSES["explainer"](
             trained_model,
             explainer_factory=lambda _g: None,
             prune_k=5,

@@ -58,6 +58,17 @@ GRID = ScenarioGrid(
     seeds=(0,),
 )
 
+#: An adaptive threat, sent as a ``ThreatModel`` dict, whose adapted
+#: defense params carry a typo.
+ADAPTED_JACCARD_TYPO = {
+    "knowledge": "white_box",
+    "adaptivity": "preprocess_aware",
+    "surrogate_hidden": None,
+    "surrogate_seed": None,
+    "defense": "jaccard",
+    "defense_params": {"treshold": 0.1},
+}
+
 
 @pytest.fixture(scope="module")
 def shared_cases():
@@ -216,6 +227,11 @@ class TestEndpoints:
             ({"hidden_dims": [0]}, "hidden_dims entries must be >= 1"),
             ({"seeds": [1.5]}, "seeds entries must be integers"),
             ({"seeds": [-1]}, "seeds entries must be >= 0"),
+            (
+                {"threats": [ADAPTED_JACCARD_TYPO]},
+                "defense 'jaccard' spec carries undeclared params "
+                "['treshold']",
+            ),
         ],
     )
     def test_bad_dataset_or_numeric_entry_rejected_at_post(

@@ -1,20 +1,22 @@
-"""Optional gzip compression in the result store.
+"""Reading gzip-compressed records written by earlier store versions.
 
-The contract: compression is opt-in on ``put`` (``REPRO_STORE_COMPRESS=1``
-or ``ResultStore(compress=True)``), transparent on ``get`` (records are
-sniffed by the gzip magic, so plain and compressed records coexist in one
-store), the manifest's length/sha cover the *stored* bytes (integrity is
-checked before decompression), and a mixed store resumes an arena run
-with zero re-executed attacks.
+``put`` always writes plain JSON, but stores written by earlier versions
+may hold gzip records, so they are outside input the store must keep
+reading.  The contract: ``get`` sniffs the gzip magic (plain and
+compressed records coexist in one store), the manifest's length/sha cover
+the *stored* bytes (integrity is checked before decompression), a corrupt
+gzip stream is quarantined like any torn record, and a mixed store
+resumes an arena run with zero re-executed attacks.
+
+Each test plants gzip records directly at ``store.path(key)`` — the bytes
+an earlier version wrote (``mtime=0``) — and lets ``compact`` index them.
 """
 
 from __future__ import annotations
 
 import gzip
-import json
+import hashlib
 from dataclasses import replace
-
-import pytest
 
 from repro.api import Session
 from repro.arena import ResultStore, ScenarioGrid
@@ -24,88 +26,74 @@ from repro.experiments import SCALE_PRESETS
 PAYLOAD = {"answer": 42, "text": "gzip " * 64}  # compressible
 
 
-def _record_bytes(store, key):
-    return store.path(key).read_bytes()
+def _gzip_record(payload):
+    return gzip.compress(canonical_json(payload).encode(), mtime=0)
 
 
-class TestCompressToggle:
-    def test_default_store_writes_plain_json(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put("a" * 64, PAYLOAD)
-        raw = _record_bytes(store, "a" * 64)
-        assert raw == canonical_json(PAYLOAD).encode("utf-8")
+def _plant_gzip(root, key, payload):
+    """Write ``payload`` as a gzip record and index it; return the store."""
+    store = ResultStore(root)
+    path = store.path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(_gzip_record(payload))
+    store.compact()
+    return store
 
-    def test_constructor_flag_compresses(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress=True)
-        store.put("a" * 64, PAYLOAD)
-        raw = _record_bytes(store, "a" * 64)
-        assert raw[:2] == b"\x1f\x8b"
-        assert json.loads(gzip.decompress(raw)) == PAYLOAD
-        assert len(raw) < len(canonical_json(PAYLOAD).encode("utf-8"))
 
-    def test_env_flag_compresses(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "1")
-        store = ResultStore(tmp_path / "store")
-        store.put("a" * 64, PAYLOAD)
-        assert _record_bytes(store, "a" * 64)[:2] == b"\x1f\x8b"
-
-    def test_constructor_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "1")
-        store = ResultStore(tmp_path / "store", compress=False)
-        store.put("a" * 64, PAYLOAD)
-        assert _record_bytes(store, "a" * 64)[:2] != b"\x1f\x8b"
-
-    def test_compressed_bytes_deterministic(self, tmp_path):
-        # gzip with mtime=0: same payload, same bytes, every time.
-        first = ResultStore(tmp_path / "one", compress=True)
-        second = ResultStore(tmp_path / "two", compress=True)
-        first.put("a" * 64, PAYLOAD)
-        second.put("a" * 64, PAYLOAD)
-        assert _record_bytes(first, "a" * 64) == _record_bytes(second, "a" * 64)
+def test_put_writes_plain_json(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    store.put("a" * 64, PAYLOAD)
+    raw = store.path("a" * 64).read_bytes()
+    assert raw == canonical_json(PAYLOAD).encode("utf-8")
 
 
 class TestTransparentReads:
     def test_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress=True)
-        store.put("a" * 64, PAYLOAD)
+        store = _plant_gzip(tmp_path / "store", "a" * 64, PAYLOAD)
         assert store.get("a" * 64) == PAYLOAD
 
     def test_mixed_store_reads_both(self, tmp_path):
         root = tmp_path / "store"
-        ResultStore(root, compress=False).put("a" * 64, {"kind": "plain"})
-        ResultStore(root, compress=True).put("b" * 64, {"kind": "gzip"})
+        ResultStore(root).put("a" * 64, {"kind": "plain"})
+        _plant_gzip(root, "b" * 64, {"kind": "gzip"})
         reader = ResultStore(root)
         assert reader.get("a" * 64) == {"kind": "plain"}
         assert reader.get("b" * 64) == {"kind": "gzip"}
         assert len(reader) == 2
 
     def test_manifest_covers_stored_bytes(self, tmp_path):
-        import hashlib
-
-        store = ResultStore(tmp_path / "store", compress=True)
-        store.put("a" * 64, PAYLOAD)
-        raw = _record_bytes(store, "a" * 64)
+        root = tmp_path / "store"
+        store = _plant_gzip(root, "a" * 64, PAYLOAD)
+        raw = store.path("a" * 64).read_bytes()
         line = next(
             entry
-            for entry in (tmp_path / "store" / "MANIFEST")
-            .read_text()
-            .splitlines()
+            for entry in (root / "MANIFEST").read_text().splitlines()
             if entry.startswith("v2\t")
         )
         _, _, _, length, digest = line.split("\t")
         assert int(length) == len(raw)
         assert digest == hashlib.sha256(raw).hexdigest()
 
+    def test_checksum_precedes_decompression(self, tmp_path):
+        # A well-formed gzip stream of a *different* payload: only the
+        # manifest checksum over the stored bytes can tell it is wrong.
+        root = tmp_path / "store"
+        store = _plant_gzip(root, "a" * 64, PAYLOAD)
+        path = store.path("a" * 64)
+        path.write_bytes(_gzip_record({"answer": 0}))
+        assert ResultStore(root).get("a" * 64) is None
+        assert path.with_name(path.name + ".corrupt").exists()
+
     def test_rebuilt_index_serves_compressed_records(self, tmp_path):
         root = tmp_path / "store"
-        ResultStore(root, compress=True).put("a" * 64, PAYLOAD)
+        _plant_gzip(root, "a" * 64, PAYLOAD)
         (root / "MANIFEST").unlink()  # force the shard-walk rebuild
         assert ResultStore(root).get("a" * 64) == PAYLOAD
 
     def test_compact_keeps_mixed_records(self, tmp_path):
         root = tmp_path / "store"
-        ResultStore(root, compress=False).put("a" * 64, {"kind": "plain"})
-        ResultStore(root, compress=True).put("b" * 64, {"kind": "gzip"})
+        ResultStore(root).put("a" * 64, {"kind": "plain"})
+        _plant_gzip(root, "b" * 64, {"kind": "gzip"})
         store = ResultStore(root)
         store.compact()
         assert store.get("a" * 64) == {"kind": "plain"}
@@ -113,23 +101,15 @@ class TestTransparentReads:
 
     def test_corrupt_gzip_quarantined(self, tmp_path):
         root = tmp_path / "store"
-        store = ResultStore(root, compress=True)
-        store.put("a" * 64, PAYLOAD)
-        path = store.path("a" * 64)
+        path = _plant_gzip(root, "a" * 64, PAYLOAD).path("a" * 64)
         raw = path.read_bytes()
         path.write_bytes(raw[:2] + b"\x00" * 8)  # magic intact, body garbage
-        # Fresh handle: the manifest length/sha no longer match either,
-        # and either failure mode must be a miss + quarantine, not a crash.
+        ResultStore(root).compact()  # the manifest now vouches for it
+        # Checksum passes, so the failure is in decompression — still a
+        # miss + quarantine, not a crash.
         fresh = ResultStore(root)
         assert fresh.get("a" * 64) is None
         assert path.with_name(path.name + ".corrupt").exists()
-
-    def test_counter_increments_on_compressed_put(self, tmp_path):
-        from repro.obs import metrics
-
-        before = metrics.counters().get("store.compressed_writes", 0)
-        ResultStore(tmp_path / "store", compress=True).put("a" * 64, PAYLOAD)
-        assert metrics.counters()["store.compressed_writes"] == before + 1
 
 
 #: Trimmed to seconds: tiny model, three victims, one cheap attack.
@@ -146,26 +126,21 @@ GRID = ScenarioGrid(
 
 
 class TestArenaResumeAcrossCompression:
-    def test_mixed_store_resumes_with_zero_executions(
-        self, tmp_path, monkeypatch
-    ):
+    def test_mixed_store_resumes_with_zero_executions(self, tmp_path):
         """Half plain + half gzip records resume as one warm store."""
         session = Session(CONFIG, cases={})
         root = tmp_path / "store"
         cold = session.arena(GRID, ResultStore(root))
         assert cold.executed > 0
 
-        # Drop half the records and re-execute them compressed.
+        # Rewrite half the records as an earlier version's gzip records.
         keys = sorted(ResultStore(root).keys())
         half = keys[: len(keys) // 2] or keys[:1]
         store = ResultStore(root)
         for key in half:
-            store.path(key).unlink()
-            store._drop(key)
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "1")
-        repaired = session.arena(GRID, ResultStore(root))
-        assert repaired.executed == len(half)
-        monkeypatch.delenv("REPRO_STORE_COMPRESS")
+            payload = store.get(key)
+            store.path(key).write_bytes(_gzip_record(payload))
+        store.compact()
 
         kinds = {
             ResultStore(root).path(key).read_bytes()[:2] == b"\x1f\x8b"
