@@ -114,7 +114,7 @@ def _backend_lines():
         f"active: {backend_from_env()}  (select with REPRO_BACKEND=dense|sparse)",
         "dense: dense adjacency tensors (default; the historical path)",
         "sparse: CSR adjacency with fused scatter kernels"
-        " (FGA, FGA-T, Nettack, IG-Attack, GEAttack)",
+        " (FGA, FGA-T, FGA-T&E's step, Nettack, IG-Attack, GEAttack)",
     ]
 
 

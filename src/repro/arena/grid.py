@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.api.specs import SCHEMA_VERSION, ThreatModel
 from repro.schema import spec_kwargs
@@ -109,21 +109,11 @@ class ScenarioGrid:
     archs: tuple = ("gcn",)
 
     def __post_init__(self):
-        for axis in (
-            "datasets",
-            "hidden_dims",
-            "attacks",
-            "defenses",
-            "budget_caps",
-            "seeds",
-            "archs",
-        ):
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
-        object.__setattr__(
-            self,
-            "threats",
-            tuple(ThreatModel.parse(threat) for threat in self.threats),
-        )
+        for axis in fields(self):
+            values = tuple(getattr(self, axis.name))
+            if axis.name == "threats":
+                values = tuple(ThreatModel.parse(threat) for threat in values)
+            object.__setattr__(self, axis.name, values)
 
     def cells(self):
         """All execution cells in deterministic enumeration order."""

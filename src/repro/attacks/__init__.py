@@ -26,6 +26,7 @@ from repro.attacks.base import (
     candidate_nodes,
     coerce_victim,
     record_trace,
+    targeted_loss,
 )
 from repro.attacks.locality import (
     IdentityScene,
@@ -39,7 +40,7 @@ from repro.attacks.feature import (
     GEFAttack,
     graph_with_features_flipped,
 )
-from repro.attacks.fga import FGA, FGATargeted, select_best_candidate, targeted_loss
+from repro.attacks.fga import FGA, FGATargeted
 from repro.attacks.fga_te import FGATExplainerEvasion
 from repro.attacks.geattack import GEAttack, GEAttackPG, evasion_matrix
 from repro.attacks.ig_attack import IGAttack
@@ -115,6 +116,5 @@ __all__ = [
     "graph_with_features_flipped",
     "powerlaw_log_likelihood",
     "record_trace",
-    "select_best_candidate",
     "targeted_loss",
 ]

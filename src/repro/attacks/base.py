@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.autodiff import functional as F
 from repro.autodiff import ops
 from repro.autodiff.sparse_ops import SparseAttackAdjacency
-from repro.autodiff.tensor import Tensor, no_grad
-from repro.attacks.locality import build_locality_scene
+from repro.autodiff.tensor import Tensor, grad, no_grad
+from repro.attacks.locality import IdentityScene, build_locality_scene
 from repro.nn.layers import adjacency_matmul
 from repro.graph.utils import (
     cached_model_operator,
@@ -36,7 +37,9 @@ __all__ = [
     "VictimSpec",
     "candidate_nodes",
     "coerce_victim",
+    "predict",
     "record_trace",
+    "targeted_loss",
 ]
 
 
@@ -261,6 +264,34 @@ def record_trace(trace, view, candidates, scores, choice):
     )
 
 
+def targeted_loss(forward, adjacency_tensor, node, label):
+    """Cross-entropy of the victim's logits against ``label`` (Eq. 4)."""
+    logits = forward.logits_from_raw(adjacency_tensor)
+    row = ops.reshape(logits[int(node)], (1, logits.shape[1]))
+    return F.cross_entropy(row, np.array([int(label)]))
+
+
+def predict(model, graph, node=None):
+    """``model``'s predictions on ``graph`` (all nodes, or one node).
+
+    Memoized per (graph, model): the clean graph is predicted once per
+    victim set instead of once per victim, and repeated queries on a
+    perturbed graph are free.  Safe because graphs are immutable and the
+    attacked model is frozen.
+    """
+
+    def compute():
+        normalized = cached_model_operator(graph, model)
+        with no_grad():
+            logits = model(normalized, Tensor(graph.features))
+        # Pin the model in the cached value so its id key can never be
+        # reused by a different model while this entry is alive.
+        return model, logits.data.argmax(axis=1)
+
+    _, predictions = graph_cached(graph, ("predictions", id(model)), compute)
+    return int(predictions[int(node)]) if node is not None else predictions
+
+
 def candidate_nodes(graph, target_node, target_label=None):
     """Endpoints eligible for a fake edge from ``target_node``.
 
@@ -421,16 +452,25 @@ class DenseModelForward:
 
 
 class Attack:
-    """Base class: holds the frozen model and common evaluation helpers.
+    """Base class: the frozen model, the greedy loop and evaluation helpers.
 
-    Subclasses implement :meth:`attack` for one victim; attacks that
-    support subgraph-locality execution (see
-    :mod:`repro.attacks.locality`) set ``supports_locality`` and accept an
-    optional ``locality`` scene in their :meth:`attack` signature.
-    :meth:`attack_many` is the batched multi-victim entry point: it builds
-    one locality scene per victim — so the dense inner math runs on the
-    victim's computation subgraph instead of the full graph — and can fan
-    victims out over a process pool.
+    :meth:`attack` is the one greedy edge-insertion loop (Algorithm 1's
+    outer procedure, shared by every Table-1 gradient baseline): per
+    victim it calls :meth:`_prepare` once, then per step :meth:`_step`
+    scores the candidate endpoints of the current view, the loop adds the
+    edge to the best one and re-scores, Δ times.  A greedy attack writes
+    only ``_step`` — usually one :meth:`_gradient_row` call, which serves
+    the dense and the sparse backend alike.  Attacks that are not greedy
+    insertion (RNA, DICE, Metattack, the feature attacks) override
+    :meth:`attack` instead.
+
+    Attacks that support subgraph-locality execution (see
+    :mod:`repro.attacks.locality`) set ``supports_locality``; :meth:`attack`
+    then accepts an optional ``locality`` scene.  :meth:`attack_many` is
+    the batched multi-victim entry point: it builds one locality scene per
+    victim — so the dense inner math runs on the victim's computation
+    subgraph instead of the full graph — and can fan victims out over a
+    process pool.
     """
 
     name = "base"
@@ -463,11 +503,69 @@ class Attack:
         if self.sparse and getattr(model, "arch", "gcn") != "gcn":
             metrics.incr("backend.arch_dense_fallback")
             self.sparse = False
+        #: The last :meth:`_gradient_row` loss, held until the next one is
+        #: built and dropped when :meth:`attack` returns: freeing each
+        #: step's tape before the next is allocated hands the heap top back
+        #: to the OS, and every greedy step then page-faults it in again
+        #: (+45% wall on FGA victim derivation).
+        self._tape = None
 
     # -- api ----------------------------------------------------------------
-    def attack(self, graph, target_node, target_label, budget):
-        """Return an :class:`AttackResult`; implemented by subclasses."""
+    def attack(self, graph, target_node, target_label, budget, locality=None):
+        """Add up to ``budget`` edges at the victim, greedily, one per step.
+
+        Each step takes the argmax of :meth:`_step`'s scores, records the
+        step (:func:`record_trace`) and adds ``(victim, best)``; a step
+        that returns ``None`` ends the attack early.  Returns an
+        :class:`AttackResult`.
+        """
+        target_node = int(target_node)
+        scene = locality or IdentityScene(graph, target_node)
+        state = self._prepare(graph, scene, target_node, target_label)
+        perturbed = graph
+        added = []
+        trace = []
+        for _ in range(int(budget)):
+            view = scene.view(perturbed)
+            step = self._step(scene, view, perturbed, target_label, state)
+            if step is None:
+                break
+            candidates, scores = step
+            best = view.to_global(int(candidates[int(np.argmax(scores))]))
+            record_trace(trace, view, candidates, scores, best)
+            edge = (target_node, best)
+            added.append(edge)
+            perturbed = perturbed.with_edges_added([edge])
+        self._tape = None
+        return self._finalize(
+            graph, perturbed, added, target_node, target_label, score_trace=trace
+        )
+
+    def _prepare(self, graph, scene, target_node, target_label):
+        """Per-victim state handed to every :meth:`_step` (default none)."""
+        return None
+
+    def _step(self, scene, view, perturbed, target_label, state):
+        """``(candidates, scores)`` in view-local ids, or ``None`` to stop."""
         raise NotImplementedError
+
+    def _gradient_row(self, view, candidates, loss_of):
+        """Symmetrized gradient of ``loss_of(adjacency)`` on the candidate row.
+
+        Adding edge (i, j) raises both A[i, j] and A[j, i], so a candidate's
+        score is ``(g + gᵀ)[victim, candidate]``.  On the dense backend
+        ``adjacency`` is a dense leaf over the view's graph; on the sparse
+        backend it is a :class:`SparseAttackAdjacency`, whose one value per
+        unordered pair makes the pair gradient that symmetrized entry.
+        """
+        if self.sparse:
+            handle = SparseAttackAdjacency(view.graph, view.node, candidates)
+            self._tape = loss_of(handle)
+            return handle.candidate_gradients(grad(self._tape, handle.values))
+        adjacency = Tensor(view.graph.dense_adjacency(), requires_grad=True)
+        self._tape = loss_of(adjacency)
+        gradient = grad(self._tape, adjacency).data
+        return (gradient + gradient.T)[view.node, candidates]
 
     def attack_many(self, graph, victims, jobs=1):
         """Attack every victim; returns results in victim order.
@@ -556,26 +654,8 @@ class Attack:
 
     # -- helpers --------------------------------------------------------------
     def predict(self, graph, node=None):
-        """Model predictions on ``graph`` (all nodes, or one node).
-
-        Memoized per (graph, model): the clean graph is predicted once per
-        victim set instead of once per victim, and repeated queries on a
-        perturbed graph are free.  Safe because graphs are immutable and
-        the attacked model is frozen.
-        """
-
-        def compute():
-            normalized = cached_model_operator(graph, self.model)
-            with no_grad():
-                logits = self.model(normalized, Tensor(graph.features))
-            # Pin the model in the cached value so its id key can never be
-            # reused by a different model while this entry is alive.
-            return self.model, logits.data.argmax(axis=1)
-
-        model, predictions = graph_cached(
-            graph, ("predictions", id(self.model)), compute
-        )
-        return int(predictions[int(node)]) if node is not None else predictions
+        """Model predictions on ``graph`` (see :func:`predict`)."""
+        return predict(self.model, graph, node)
 
     def _candidates(self, graph, target_node, target_label):
         return candidate_nodes(graph, target_node, target_label)

@@ -14,18 +14,16 @@ Locality: GNNExplainer's mask optimization lives entirely on the victim's
 hence the excluded candidate set — is byte-identical whether the attack runs
 on the full graph or on the extracted scene.  The explained label is the
 victim's prediction on the full perturbed graph, which the base class
-memoizes per graph; only the FGA gradient step runs on the dense ``s × s``
-slice.
+memoizes per graph; only FGA-T's gradient step runs on the ``s × s``
+slice.  That step is inherited unchanged, so it takes the sparse kernel
+under ``REPRO_BACKEND=sparse``; the explainer filter stays dense.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import record_trace
-from repro.attacks.fga import FGATargeted, select_best_candidate, targeted_loss
-from repro.attacks.locality import IdentityScene
-from repro.autodiff.tensor import Tensor, grad
+from repro.attacks.fga import FGATargeted
 from repro.explain.gnn_explainer import GNNExplainer
 from repro.schema import ConfigParam
 
@@ -36,7 +34,6 @@ class FGATExplainerEvasion(FGATargeted):
     """FGA-T with explanation-subgraph candidate exclusion."""
 
     name = "FGA-T&E"
-    supports_locality = True
     config_params = (
         ConfigParam("explainer_epochs", "explainer_epochs"),
         ConfigParam("explanation_size", "explanation_size"),
@@ -49,33 +46,7 @@ class FGATExplainerEvasion(FGATargeted):
         self.explainer_epochs = int(explainer_epochs)
         self.explanation_size = int(explanation_size)
 
-    def attack(self, graph, target_node, target_label, budget, locality=None):
-        target_node = int(target_node)
-        scene = locality or IdentityScene(graph, target_node)
-        perturbed = graph
-        added = []
-        trace = []
-        for _ in range(int(budget)):
-            view = scene.view(perturbed)
-            candidates = self._filtered_candidates(view, perturbed, target_label)
-            if candidates.size == 0:
-                break
-            forward = self._scene_forward(scene, view)
-            adjacency = Tensor(view.graph.dense_adjacency(), requires_grad=True)
-            loss = targeted_loss(forward, adjacency, view.node, target_label)
-            gradient = grad(loss, adjacency).data
-            scores = -(gradient + gradient.T)
-            best_local, _ = select_best_candidate(scores, view.node, candidates)
-            best = view.to_global(best_local)
-            record_trace(trace, view, candidates, scores[view.node, candidates], best)
-            edge = (target_node, best)
-            added.append(edge)
-            perturbed = perturbed.with_edges_added([edge])
-        return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
-        )
-
-    def _filtered_candidates(self, view, perturbed, target_label):
+    def _step_candidates(self, view, perturbed, target_label):
         """Candidates minus the explanation's top-L nodes (view-local ids).
 
         The explanation runs on the view's graph: it only ever reads the

@@ -35,19 +35,17 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.attacks.base import Attack, record_trace
-from repro.schema import ConfigParam
-from repro.attacks.fga import targeted_loss
+from repro.attacks.base import Attack, record_trace, targeted_loss
 from repro.attacks.locality import IdentityScene
 from repro.autodiff import functional as F
 from repro.autodiff import ops
-from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 from repro.explain.gnn_explainer import MASK_INIT_SCALE, explainer_loss
 from repro.explain.pg_explainer import apply_edge_mlp
-from repro.graph.utils import k_hop_subgraph, normalize_adjacency_tensor
+from repro.graph.utils import k_hop_subgraph
+from repro.schema import ConfigParam
 
-__all__ = ["GEAttack", "GEAttackPG", "evasion_matrix"]
+__all__ = ["GEAttack", "GEAttackPG", "evasion_matrix", "mix_scores"]
 
 #: Weight of the sparsity regularizer in GEAttack-PG's simulated
 #: PGExplainer instance objective.
@@ -63,6 +61,18 @@ def evasion_matrix(clean_graph):
     """
     n = clean_graph.num_nodes
     return np.ones((n, n)) - np.eye(n) - clean_graph.dense_adjacency()
+
+
+def mix_scores(attack_row, penalty_row, lam):
+    """Candidate scores from separately differentiated loss terms.
+
+    The penalty row is rescaled to the attack row's mean magnitude before
+    the λ-weighted sum, which makes λ dimensionless (λ = 1 gives both
+    objectives equal say; see :class:`GEAttack`).  The most negative
+    gradient decreases the joint loss most, so it scores highest.
+    """
+    scale = np.abs(attack_row).mean() / (np.abs(penalty_row).mean() + 1e-12)
+    return -(attack_row + lam * scale * penalty_row)
 
 
 class GEAttack(Attack):
@@ -128,131 +138,105 @@ class GEAttack(Attack):
         self.normalize_penalty = bool(normalize_penalty)
 
     def attack(self, graph, target_node, target_label, budget, locality=None):
-        target_node = int(target_node)
-        target_label = int(target_label)
-        scene = locality or IdentityScene(graph, target_node)
-        rng = np.random.default_rng(self.seed + scene.seed_node)
+        if self.greedy:
+            return super().attack(
+                graph, target_node, target_label, budget, locality=locality
+            )
+        scene = locality or IdentityScene(graph, int(target_node))
+        mask_full = self._prepare(graph, scene, target_node, target_label)
+        return self._one_shot(graph, scene, target_label, mask_full, int(budget))
+
+    def _prepare(self, graph, scene, target_node, target_label):
         # Algorithm 1 line 3: M⁰ drawn once, sized by the *global* node
         # count so subgraph execution slices the identical initialization.
-        mask_full = rng.normal(
-            0.0, MASK_INIT_SCALE, size=(scene.num_global,) * 2
+        rng = np.random.default_rng(self.seed + scene.seed_node)
+        return rng.normal(0.0, MASK_INIT_SCALE, size=(scene.num_global,) * 2)
+
+    def _step(self, scene, view, perturbed, target_label, mask_full):
+        candidates = self._candidates(view.graph, view.node, target_label)
+        if candidates.size == 0:
+            return None
+        scores = self._candidate_scores(
+            self._scene_forward(scene, view),
+            view,
+            target_label,
+            # B over the current graph: clean edges, the diagonal and
+            # every already-added edge are zero (Algorithm 1 line 10).
+            evasion_matrix(view.graph),
+            view.slice_square(mask_full),
+            candidates,
+            degree_offset=view.masked_degree_offset(mask_full),
         )
+        # The unrolled penalty tape is large: held into the next step it
+        # would sit next to that step's own (Table 1 peak RSS 130 -> 150 MB).
+        self._tape = None
+        return candidates, scores
 
-        if not self.greedy:
-            return self._one_shot(
-                graph, scene, target_node, target_label, mask_full, int(budget)
-            )
-
-        perturbed = graph
-        added = []
-        trace = []
-        for _ in range(int(budget)):
-            view = scene.view(perturbed)
-            candidates = self._candidates(view.graph, view.node, target_label)
-            if candidates.size == 0:
-                break
-            scores = self._candidate_scores(
-                self._scene_forward(scene, view),
-                view.graph,
-                view.node,
-                target_label,
-                # B over the current graph: clean edges, the diagonal and
-                # every already-added edge are zero (Algorithm 1 line 10).
-                evasion_matrix(view.graph),
-                view.slice_square(mask_full),
-                candidates,
-                degree_offset=view.masked_degree_offset(mask_full),
-            )
-            best = view.to_global(int(candidates[int(np.argmax(scores))]))
-            record_trace(trace, view, candidates, scores, best)
-            edge = (target_node, best)
-            added.append(edge)
-            perturbed = perturbed.with_edges_added([edge])
-        return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
-        )
-
-    def _one_shot(self, graph, scene, target_node, target_label, mask_full, budget):
+    def _one_shot(self, graph, scene, target_label, mask_full, budget):
         """Ablation: pick the top-Δ candidates from one joint gradient."""
         view = scene.view(graph)
-        candidates = self._candidates(view.graph, view.node, target_label)
+        step = self._step(scene, view, graph, target_label, mask_full)
         added = []
         trace = []
-        if candidates.size:
-            scores = self._candidate_scores(
-                self._scene_forward(scene, view),
-                view.graph,
-                view.node,
-                target_label,
-                evasion_matrix(view.graph),
-                view.slice_square(mask_full),
-                candidates,
-                degree_offset=view.masked_degree_offset(mask_full),
-            )
+        if step is not None:
+            candidates, scores = step
             order = np.argsort(-scores)[: min(budget, candidates.size)]
             added = [
-                (target_node, view.to_global(int(candidates[i]))) for i in order
+                (scene.seed_node, view.to_global(int(candidates[i])))
+                for i in order
             ]
             record_trace(trace, view, candidates, scores, added[0][1])
         perturbed = graph.with_edges_added(added) if added else graph
         return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
+            graph, perturbed, added, scene.seed_node, target_label,
+            score_trace=trace,
         )
 
     def _candidate_scores(
-        self, forward, graph, target_node, target_label, evasion, mask_init,
-        candidates, degree_offset=None,
+        self, forward, view, target_label, evasion, mask_init, candidates,
+        degree_offset=None,
     ):
         """Per-candidate desirability of adding edge (victim, candidate).
 
-        Adding edge (i, j) raises Â[i,j] and Â[j,i], so the predicted loss
-        change is the symmetrized gradient entry; the most negative entry
-        decreases the joint loss the most and yields the highest score.
-
-        With ``normalize_penalty`` the two loss terms are differentiated
-        separately and the penalty gradient is rescaled to the attack
-        gradient's mean magnitude over the candidate entries, making λ
-        dimensionless (see the class docstring).
-
-        On the sparse backend the same quantities are computed over a
-        CSR pair parameterization (``O(nnz)`` instead of ``O(n²)``).
+        The most negative symmetrized gradient entry decreases the joint
+        loss the most and yields the highest score.  With
+        ``normalize_penalty`` the two loss terms are differentiated
+        separately and combined by :func:`mix_scores`, making λ
+        dimensionless (see the class docstring).  Each term is one
+        :meth:`_gradient_row`, so the same code serves both backends; the
+        penalty's unroll is :meth:`explainer_penalty` on the dense leaf and
+        :meth:`_sparse_explainer_penalty` on the CSR pair values.
         """
-        target_node = int(target_node)
-        if self.sparse:
-            return self._sparse_candidate_scores(
-                forward, graph, target_node, target_label, evasion, mask_init,
-                candidates, degree_offset,
-            )
-        adjacency = Tensor(graph.dense_adjacency(), requires_grad=True)
-        attack_term = targeted_loss(forward, adjacency, target_node, target_label)
-        if not self.lam:
-            gradient = grad(attack_term, adjacency).data
-            return -(gradient + gradient.T)[target_node, candidates]
-        if not self.normalize_penalty:
-            joint = attack_term + self.lam * self.explainer_penalty(
-                forward, adjacency, target_node, target_label, evasion, mask_init,
+        node = view.node
+        unroll = (
+            self._sparse_explainer_penalty
+            if self.sparse
+            else self.explainer_penalty
+        )
+
+        def attack_loss(adjacency):
+            return targeted_loss(forward, adjacency, node, target_label)
+
+        def penalty(adjacency):
+            return unroll(
+                forward, adjacency, node, target_label, evasion, mask_init,
                 degree_offset=degree_offset,
             )
-            gradient = grad(joint, adjacency).data
-            return -(gradient + gradient.T)[target_node, candidates]
 
-        penalty_input = Tensor(graph.dense_adjacency(), requires_grad=True)
-        penalty = self.explainer_penalty(
-            forward, penalty_input, target_node, target_label, evasion, mask_init,
-            degree_offset=degree_offset,
+        if not self.lam:
+            return -self._gradient_row(view, candidates, attack_loss)
+        if not self.normalize_penalty:
+            return -self._gradient_row(
+                view,
+                candidates,
+                lambda adjacency: attack_loss(adjacency)
+                + self.lam * penalty(adjacency),
+            )
+        return mix_scores(
+            self._gradient_row(view, candidates, attack_loss),
+            self._gradient_row(view, candidates, penalty),
+            self.lam,
         )
-        attack_gradient = grad(attack_term, adjacency).data
-        penalty_gradient = grad(penalty, penalty_input).data
-        attack_scores = (attack_gradient + attack_gradient.T)[
-            target_node, candidates
-        ]
-        penalty_scores = (penalty_gradient + penalty_gradient.T)[
-            target_node, candidates
-        ]
-        scale = np.abs(attack_scores).mean() / (
-            np.abs(penalty_scores).mean() + 1e-12
-        )
-        return -(attack_scores + self.lam * scale * penalty_scores)
 
     # -- the bilevel objective ------------------------------------------------
     def joint_loss(
@@ -297,46 +281,9 @@ class GEAttack(Attack):
         return ops.tensor_sum(row * Tensor(evasion[int(target_node)]))
 
     # -- sparse backend ------------------------------------------------------
-    def _sparse_candidate_scores(
-        self, forward, graph, target_node, target_label, evasion, mask_init,
-        candidates, degree_offset,
-    ):
-        """Candidate scores on the CSR pair parameterization.
-
-        Identical math to the dense path: one value serves both ordered
-        directions of a pair, so ``grad(loss, values)`` at a candidate
-        pair *is* the symmetrized entry ``(g + g.T)[victim, candidate]``.
-        """
-        handle = SparseAttackAdjacency(graph, target_node, candidates)
-        attack_term = targeted_loss(forward, handle, target_node, target_label)
-        if not self.lam:
-            return -handle.candidate_gradients(grad(attack_term, handle.values))
-        if not self.normalize_penalty:
-            joint = attack_term + self.lam * self._sparse_explainer_penalty(
-                forward, handle, target_node, target_label, evasion, mask_init,
-                degree_offset,
-            )
-            return -handle.candidate_gradients(grad(joint, handle.values))
-
-        penalty_handle = SparseAttackAdjacency(graph, target_node, candidates)
-        penalty = self._sparse_explainer_penalty(
-            forward, penalty_handle, target_node, target_label, evasion,
-            mask_init, degree_offset,
-        )
-        attack_scores = handle.candidate_gradients(
-            grad(attack_term, handle.values)
-        )
-        penalty_scores = penalty_handle.candidate_gradients(
-            grad(penalty, penalty_handle.values)
-        )
-        scale = np.abs(attack_scores).mean() / (
-            np.abs(penalty_scores).mean() + 1e-12
-        )
-        return -(attack_scores + self.lam * scale * penalty_scores)
-
     def _sparse_explainer_penalty(
         self, forward, handle, target_node, target_label, evasion, mask_init,
-        degree_offset,
+        degree_offset=None,
     ):
         """The explainer unroll over *unordered symmetric* mask values.
 
@@ -437,64 +384,44 @@ class GEAttackPG(Attack):
         if not pg_explainer.fitted:
             raise ValueError("GEAttackPG needs a fitted PGExplainer")
         self.pg_explainer = pg_explainer
+        # The penalty reads dense first-layer embeddings, so the leaf stays
+        # dense on every backend.
+        self.sparse = False
         self.lam = float(lam)
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
         self.normalize_penalty = bool(normalize_penalty)
 
-    def attack(self, graph, target_node, target_label, budget, locality=None):
-        target_node = int(target_node)
-        target_label = int(target_label)
-        scene = locality or IdentityScene(graph, target_node)
-        perturbed = graph
-        added = []
-        trace = []
-        for _ in range(int(budget)):
-            view = scene.view(perturbed)
-            candidates = self._candidates(view.graph, view.node, target_label)
-            if candidates.size == 0:
-                break
-            forward = self._scene_forward(scene, view)
-            # B over the current graph: clean edges, the diagonal and every
-            # already-added edge are zero — recomputing per step equals the
-            # clean-graph matrix with added entries zeroed out.
-            evasion = evasion_matrix(view.graph)
-            adjacency = Tensor(view.graph.dense_adjacency(), requires_grad=True)
-            attack_term = targeted_loss(
-                forward, adjacency, view.node, target_label
+    def _step(self, scene, view, perturbed, target_label, state):
+        candidates = self._candidates(view.graph, view.node, target_label)
+        if candidates.size == 0:
+            return None
+        forward = self._scene_forward(scene, view)
+        # B over the current graph: clean edges, the diagonal and every
+        # already-added edge are zero — recomputing per step equals the
+        # clean-graph matrix with added entries zeroed out.
+        evasion = evasion_matrix(view.graph)
+
+        def attack_loss(adjacency):
+            return targeted_loss(forward, adjacency, view.node, target_label)
+
+        def penalty(adjacency):
+            return self._pg_penalty(
+                forward, adjacency, view.graph, view.node, target_label,
+                evasion, candidates,
             )
-            penalty = self._pg_penalty(
-                forward,
-                adjacency,
-                view.graph,
-                view.node,
-                target_label,
-                evasion,
-                candidates,
+
+        if self.normalize_penalty and self.lam:
+            # Same dimensionless mixing as GEAttack.
+            return candidates, mix_scores(
+                self._gradient_row(view, candidates, attack_loss),
+                self._gradient_row(view, candidates, penalty),
+                self.lam,
             )
-            if self.normalize_penalty and self.lam:
-                # Same dimensionless mixing as GEAttack: rescale the penalty
-                # gradient to the attack gradient's magnitude over the
-                # candidate row before combining.
-                attack_gradient = grad(attack_term, adjacency).data
-                penalty_gradient = grad(penalty, adjacency).data
-                a = (attack_gradient + attack_gradient.T)[view.node, candidates]
-                p = (penalty_gradient + penalty_gradient.T)[
-                    view.node, candidates
-                ]
-                scale = np.abs(a).mean() / (np.abs(p).mean() + 1e-12)
-                scores = -(a + self.lam * scale * p)
-            else:
-                joint = attack_term + self.lam * penalty
-                gradient = grad(joint, adjacency).data
-                scores = -(gradient + gradient.T)[view.node, candidates]
-            best = view.to_global(int(candidates[int(np.argmax(scores))]))
-            record_trace(trace, view, candidates, scores, best)
-            edge = (target_node, best)
-            added.append(edge)
-            perturbed = perturbed.with_edges_added([edge])
-        return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
+        return candidates, -self._gradient_row(
+            view,
+            candidates,
+            lambda adjacency: attack_loss(adjacency) + self.lam * penalty(adjacency),
         )
 
     # -- internals ---------------------------------------------------------

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, record_trace
-from repro.attacks.fga import select_best_candidate, targeted_loss
-from repro.attacks.locality import IdentityScene
+from repro.attacks.base import Attack, targeted_loss
 from repro.autodiff.sparse_ops import SparseAttackAdjacency
 from repro.autodiff.tensor import Tensor, grad
 
@@ -43,39 +41,19 @@ class IGAttack(Attack):
             raise ValueError("integration needs at least one step")
         self.steps = int(steps)
 
-    def attack(self, graph, target_node, target_label, budget, locality=None):
-        target_node = int(target_node)
-        scene = locality or IdentityScene(graph, target_node)
-        perturbed = graph
-        added = []
-        trace = []
-        for _ in range(int(budget)):
-            view = scene.view(perturbed)
-            candidates = self._candidates(view.graph, view.node, target_label)
-            if candidates.size == 0:
-                break
-            forward = self._scene_forward(scene, view)
-            if self.sparse:
-                row = self._sparse_integrated_gradients(
-                    forward, view.graph, view.node, target_label, candidates
-                )
-                best_local = int(candidates[int(np.argmax(row))])
-            else:
-                scores = self._integrated_gradients(
-                    forward, view.graph, view.node, target_label, candidates
-                )
-                best_local, _ = select_best_candidate(
-                    scores, view.node, candidates
-                )
-                row = scores[view.node, candidates]
-            best = view.to_global(best_local)
-            record_trace(trace, view, candidates, row, best)
-            edge = (target_node, best)
-            added.append(edge)
-            perturbed = perturbed.with_edges_added([edge])
-        return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
+    def _step(self, scene, view, perturbed, target_label, state):
+        candidates = self._candidates(view.graph, view.node, target_label)
+        if candidates.size == 0:
+            return None
+        forward = self._scene_forward(scene, view)
+        if self.sparse:
+            return candidates, self._sparse_integrated_gradients(
+                forward, view.graph, view.node, target_label, candidates
+            )
+        scores = self._integrated_gradients(
+            forward, view.graph, view.node, target_label, candidates
         )
+        return candidates, scores[view.node, candidates]
 
     def _integrated_gradients(
         self, forward, graph, target_node, target_label, candidates

@@ -23,12 +23,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.attacks.base import Attack, record_trace
-from repro.attacks.fga import targeted_loss
-from repro.attacks.locality import IdentityScene
+from repro.attacks.base import Attack, targeted_loss
 from repro.autodiff.sparse_ops import SparseAttackAdjacency
-from repro.autodiff.tensor import Tensor, grad
-from repro.graph.utils import normalize_adjacency
+from repro.autodiff.tensor import Tensor
+from repro.graph.utils import normalize_adjacency, normalize_adjacency_tensor
 from repro.nn.models import LinearizedGCN
 
 __all__ = [
@@ -134,59 +132,44 @@ class Nettack(Attack):
         self.surrogate = surrogate or LinearizedGCN.from_model(model)
         self.enforce_degree_test = bool(enforce_degree_test)
 
-    def attack(self, graph, target_node, target_label, budget, locality=None):
-        target_node = int(target_node)
-        scene = locality or IdentityScene(graph, target_node)
-        weights = self.surrogate.weight.data
-        perturbed = graph
-        added = []
-        trace = []
-        for _ in range(int(budget)):
-            view = scene.view(perturbed)
-            candidates = self._candidates(view.graph, view.node, target_label)
-            if self.enforce_degree_test and candidates.size:
-                # The power-law likelihood-ratio test is a statement about
-                # the *global* degree sequence, so it always runs on the
-                # full perturbed graph's degrees regardless of locality.
-                filtered = degree_preserving_candidates(
-                    scene.global_degrees(perturbed),
-                    target_node,
-                    view.to_global_array(candidates),
-                )
-                if filtered.size:
-                    candidates = view.to_local_array(filtered)
-            if candidates.size == 0:
-                break
-            feature_logits = self._feature_logits(scene, view, weights)
-            screened = self._screen(view, target_label, candidates)
-            if screened.size == 0:
-                break
-            margins = np.array(
-                [
-                    self._exact_margin(
-                        view, target_label, int(candidate), feature_logits
-                    )
-                    for candidate in screened
-                ]
+    def _step(self, scene, view, perturbed, target_label, state):
+        candidates = self._candidates(view.graph, view.node, target_label)
+        if self.enforce_degree_test and candidates.size:
+            # The power-law likelihood-ratio test is a statement about the
+            # *global* degree sequence, so it always runs on the full
+            # perturbed graph's degrees regardless of locality.
+            filtered = degree_preserving_candidates(
+                scene.global_degrees(perturbed),
+                scene.seed_node,
+                view.to_global_array(candidates),
             )
-            best = int(screened[int(np.argmax(margins))])
-            best_global = view.to_global(best)
-            # Trace the exactly-scored (screened) candidates only — the
-            # screening set is itself deterministic per step.
-            record_trace(trace, view, screened, margins, best_global)
-            edge = (target_node, best_global)
-            added.append(edge)
-            perturbed = perturbed.with_edges_added([edge])
-        return self._finalize(
-            graph, perturbed, added, target_node, target_label, score_trace=trace
+            if filtered.size:
+                candidates = view.to_local_array(filtered)
+        if candidates.size == 0:
+            return None
+        feature_logits = self._feature_logits(scene, view)
+        screened = self._screen(view, target_label, candidates)
+        # Only the screened candidates are scored exactly (and traced) —
+        # the screening set is itself deterministic per step.
+        margins = np.array(
+            [
+                self._exact_margin(
+                    view, target_label, int(candidate), feature_logits
+                )
+                for candidate in screened
+            ]
         )
+        return screened, margins
 
     # -- internals ------------------------------------------------------------
-    def _feature_logits(self, scene, view, weights):
+    def _feature_logits(self, scene, view):
         """``X W`` rows for the view (constant per feature slice)."""
         features, logits = scene.memo(
             ("feature-logits", id(view.graph.features)),
-            lambda: (view.graph.features, view.graph.features @ weights),
+            lambda: (
+                view.graph.features,
+                view.graph.features @ self.surrogate.weight.data,
+            ),
         )
         return logits
 
@@ -199,15 +182,13 @@ class Nettack(Attack):
             view.graph.features,
             degree_offset=view.raw_degree_offset,
         )
-        if self.sparse:
-            handle = SparseAttackAdjacency(view.graph, view.node, candidates)
-            loss = targeted_loss(forward, handle, view.node, target_label)
-            scores = -handle.candidate_gradients(grad(loss, handle.values))
-        else:
-            adjacency = Tensor(view.graph.dense_adjacency(), requires_grad=True)
-            loss = targeted_loss(forward, adjacency, view.node, target_label)
-            gradient = grad(loss, adjacency).data
-            scores = -(gradient + gradient.T)[view.node, candidates]
+        scores = -self._gradient_row(
+            view,
+            candidates,
+            lambda adjacency: targeted_loss(
+                forward, adjacency, view.node, target_label
+            ),
+        )
         order = np.argsort(-scores)[:SCREEN_SIZE]
         return candidates[order]
 
@@ -260,8 +241,6 @@ class _SurrogateForward:
         self.degree_offset = degree_offset
 
     def logits_from_raw(self, adjacency):
-        from repro.graph.utils import normalize_adjacency_tensor
-
         if isinstance(adjacency, SparseAttackAdjacency):
             normalized = adjacency.normalized(degree_offset=self.degree_offset)
         else:

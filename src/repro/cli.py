@@ -383,7 +383,7 @@ def _serve(config, args):
     restarted server resumes with zero re-executed cells.
     """
     import signal
-    import threading
+    import time
 
     from repro.service import ArenaService
 
@@ -396,16 +396,21 @@ def _serve(config, args):
         port=args.port,
         workers=args.workers,
     ).start()
+    # Handlers go in before the banner a client waits for, and they only
+    # append to a list: a handler calling ``threading.Event.set`` deadlocks
+    # when the signal lands while this thread holds the event's lock
+    # inside ``wait``.
+    stop = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda signum, _: stop.append(signum))
     print(
         f"repro service listening on {service.url} "
         f"(store={service.store_root}, workers={service.queue.workers}, "
         f"scale={args.scale})",
         flush=True,
     )
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    stop.wait()
+    while not stop:
+        time.sleep(0.1)
     print("repro service draining in-flight jobs ...", flush=True)
     service.close(drain=True)
     print("repro service stopped", flush=True)

@@ -87,9 +87,9 @@ class Defense:
         Memoized per graph (immutable by convention), so flagging and
         predicting over a victim set preprocesses each graph once.
         """
-        from repro.attacks.base import Attack
+        from repro.attacks.base import predict
 
-        return Attack(self.model).predict(self.preprocessed(graph), node)
+        return predict(self.model, self.preprocessed(graph), node)
 
     def preprocessed(self, graph):
         """Graph-cached :meth:`preprocess` (one sanitization per graph)."""

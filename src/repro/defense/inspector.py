@@ -99,11 +99,10 @@ class ExplainerDefense(Defense):
         to report how many pruned edges were truly adversarial — it does not
         influence the pruning decision.
         """
-        from repro.attacks.base import Attack
+        from repro.attacks.base import predict
 
         node = int(node)
-        helper = Attack(self.model)
-        before = helper.predict(graph, node)
+        before = predict(self.model, graph, node)
         if self.trusted is not None and graph.edge_set() <= self.trusted:
             # Every edge is vouched for — no candidate could survive the
             # exemption, so skip the (expensive) explainer run entirely.
@@ -123,7 +122,7 @@ class ExplainerDefense(Defense):
         ]
         to_prune = candidates[: self.prune_k]
         pruned_graph = graph.with_edges_removed(to_prune) if to_prune else graph
-        after = helper.predict(pruned_graph, node)
+        after = predict(self.model, pruned_graph, node)
         adversarial = {edge_tuple(u, v) for u, v in adversarial_edges}
         return InspectionOutcome(
             node=node,

@@ -16,11 +16,12 @@ Endpoint reference
 ------------------
 
 ``POST /jobs``
-    Submit a job.  Body: ``{"grid": {<axes>}}`` — axis lists mirroring
-    :class:`~repro.arena.grid.ScenarioGrid` (``datasets``,
+    Submit a job.  Body: ``{"grid": {<axes>}}`` — one list per
+    :class:`~repro.arena.grid.ScenarioGrid` field (``datasets``,
     ``hidden_dims``, ``attacks``, ``defenses``, ``budget_caps``,
-    ``seeds``, ``threats``; threat entries are CLI grammar strings like
-    ``"surrogate+adaptive:jaccard"`` or ``ThreatModel`` dicts) — or
+    ``seeds``, ``threats``, ``archs``; threat entries are CLI grammar
+    strings like ``"surrogate+adaptive:jaccard"`` or ``ThreatModel``
+    dicts) — or
     ``{"scenario": {<ScenarioSpec dict>}, "defenses": [...]}`` for one
     canonical cell.  Optional: ``fresh`` (clear the store first); lease
     timing is fixed server-side (``repro.arena.store.LEASE_TTL``,

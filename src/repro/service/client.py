@@ -17,6 +17,7 @@ yields — compare them directly in tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import urllib.error
 import urllib.parse
@@ -35,15 +36,17 @@ class ServiceError(RuntimeError):
 
 
 def grid_payload(grid):
-    """The JSON axis dict ``POST /jobs`` accepts for a ``ScenarioGrid``."""
+    """The JSON axis dict ``POST /jobs`` accepts for a ``ScenarioGrid``.
+
+    One entry per ``ScenarioGrid`` field, threats as ``ThreatModel`` dicts.
+    """
     return {
-        "datasets": list(grid.datasets),
-        "hidden_dims": list(grid.hidden_dims),
-        "attacks": list(grid.attacks),
-        "defenses": list(grid.defenses),
-        "budget_caps": list(grid.budget_caps),
-        "seeds": list(grid.seeds),
-        "threats": [threat.to_dict() for threat in grid.threats],
+        axis.name: (
+            [threat.to_dict() for threat in grid.threats]
+            if axis.name == "threats"
+            else list(getattr(grid, axis.name))
+        )
+        for axis in dataclasses.fields(grid)
     }
 
 

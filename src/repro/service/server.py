@@ -21,6 +21,7 @@ streams carry byte-for-byte the events an in-process run would yield
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import threading
@@ -33,18 +34,6 @@ from repro.service.jobs import DONE, FAILED, JobQueue
 __all__ = ["ArenaService"]
 
 logger = logging.getLogger(__name__)
-
-#: The grid axes ``POST /jobs`` accepts (mirror of ``ScenarioGrid``).
-GRID_AXES = (
-    "datasets",
-    "hidden_dims",
-    "attacks",
-    "defenses",
-    "budget_caps",
-    "seeds",
-    "threats",
-    "archs",
-)
 
 #: SSE keep-alive cadence while a job is quiet (comment lines, ignored
 #: by clients, keep read timeouts and proxies from dropping the stream).
@@ -74,10 +63,11 @@ def _grid_from_payload(payload, config):
         axes = payload["grid"]
         if not isinstance(axes, dict):
             raise _BadRequest('"grid" must be an object of axis lists')
-        unknown = sorted(set(axes) - set(GRID_AXES))
+        options = [axis.name for axis in dataclasses.fields(ScenarioGrid)]
+        unknown = sorted(set(axes) - set(options))
         if unknown:
             raise _BadRequest(
-                f"unknown grid axes {unknown}; options: {list(GRID_AXES)}"
+                f"unknown grid axes {unknown}; options: {options}"
             )
         kwargs = {}
         for axis, values in axes.items():

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.api.specs import ThreatModel
-from repro.attacks.base import Attack, AttackResult, VictimSpec, coerce_victim
+from repro.attacks.base import AttackResult, VictimSpec, coerce_victim, predict
 from repro.obs.tracer import get_tracer
 from repro.parallel import parallel_map
 
@@ -161,14 +161,13 @@ def reanchor_result(inner, graph, victim_model):
     base_edges = base.edge_set()
     added = [edge for edge in inner.added_edges if edge not in base_edges]
     perturbed = base.with_edges_added(added) if added else base
-    oracle = Attack(victim_model)
     return AttackResult(
         perturbed_graph=perturbed,
         added_edges=added,
         target_node=inner.target_node,
         target_label=inner.target_label,
-        original_prediction=oracle.predict(graph, inner.target_node),
-        final_prediction=oracle.predict(perturbed, inner.target_node),
+        original_prediction=predict(victim_model, graph, inner.target_node),
+        final_prediction=predict(victim_model, perturbed, inner.target_node),
         history=history,
         score_trace=inner.score_trace,
     )
@@ -244,7 +243,6 @@ def adaptive_attack_one(attack, graph, spec, defense, victim_model):
         ):
             removed.append(edge)
             seen.add(edge)
-    oracle = Attack(victim_model)
     return AttackResult(
         perturbed_graph=base,
         added_edges=added,
@@ -252,8 +250,8 @@ def adaptive_attack_one(attack, graph, spec, defense, victim_model):
         target_label=(
             None if spec.target_label is None else int(spec.target_label)
         ),
-        original_prediction=oracle.predict(graph, spec.node),
-        final_prediction=oracle.predict(base, spec.node),
+        original_prediction=predict(victim_model, graph, spec.node),
+        final_prediction=predict(victim_model, base, spec.node),
         history=[("removed", edge) for edge in removed],
         score_trace=trace,
     )

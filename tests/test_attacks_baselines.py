@@ -52,7 +52,7 @@ class TestFGA:
         self, tiny_graph, trained_model, clean_predictions
     ):
         from repro.attacks.base import DenseGCNForward
-        from repro.attacks.fga import targeted_loss
+        from repro.attacks import targeted_loss
         from repro.autodiff.tensor import Tensor
 
         node = 10
@@ -157,7 +157,7 @@ class TestIGAttack:
     ):
         """With steps=1 the IG score equals the endpoint gradient."""
         from repro.attacks.base import DenseGCNForward
-        from repro.attacks.fga import targeted_loss
+        from repro.attacks import targeted_loss
         from repro.autodiff.tensor import Tensor, grad
 
         attack = IGAttack(trained_model, seed=0, steps=1)

@@ -58,7 +58,7 @@ class TestBilevelObjective:
         )
         penalty_grad = grad(penalty, adjacency).data
         attack_loss = Tensor(graph.dense_adjacency(), requires_grad=True)
-        from repro.attacks.fga import targeted_loss
+        from repro.attacks import targeted_loss
 
         attack_grad = grad(
             targeted_loss(forward, attack_loss, node, label), attack_loss

@@ -37,12 +37,13 @@ from repro.autodiff.gradcheck import gradcheck, gradgradcheck
 from repro.autodiff.tensor import Tensor, grad
 from repro.graph import Graph, normalize_adjacency
 
-#: Registry attacks with sparse kernels (GEAttack-PG and FGA-T&E fall back
-#: to dense — their explainer penalties are dense — and RNA/DICE/Metattack
-#: have no adjacency-gradient hot path, so the backend is a no-op there).
-SPARSE_ATTACKS = ("FGA", "FGA-T", "Nettack", "IG-Attack", "GEAttack")
+#: Registry attacks with sparse kernels (FGA-T&E through FGA-T's step, its
+#: explainer filter stays dense; GEAttack-PG stays dense — its penalty reads
+#: dense embeddings — and RNA/DICE/Metattack have no adjacency-gradient hot
+#: path, so the backend is a no-op there).
+SPARSE_ATTACKS = ("FGA", "FGA-T", "FGA-T&E", "Nettack", "IG-Attack", "GEAttack")
 
-FAST_KWARGS = {"IG-Attack": {"steps": 4}}
+FAST_KWARGS = {"IG-Attack": {"steps": 4}, "FGA-T&E": {"explainer_epochs": 20}}
 
 #: Non-default GEAttack constructions exercising its distinct sparse
 #: scoring paths (one-shot gradient, raw Eq.-7 mixing, zero lam).

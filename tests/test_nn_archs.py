@@ -159,6 +159,35 @@ class TestBackendContract:
             after = metrics.counters()["backend.arch_dense_fallback"]
             assert after == before + 1, arch
 
+    def test_defense_and_reanchor_predictions_build_no_attack(
+        self, monkeypatch
+    ):
+        """Only building an attack counts a fallback, never a prediction."""
+        from repro.attacks import AttackResult
+        from repro.defense import NoDefense
+        from repro.graph import Graph
+        from repro.threat import reanchor_result
+
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
+        model = fresh_model("sage")
+        graph = Graph(_DENSE, _FEATURES, np.arange(_N) % _C)
+        perturbed = graph.with_edges_added([(0, 4)])
+        inner = AttackResult(
+            perturbed_graph=perturbed,
+            added_edges=[(0, 4)],
+            target_node=0,
+            target_label=1,
+            original_prediction=0,
+            final_prediction=0,
+        )
+        before = metrics.counters().get("backend.arch_dense_fallback", 0)
+        for node in range(5):
+            NoDefense(model).predict(graph, node)
+        reanchor_result(inner, graph, model)
+        assert (
+            metrics.counters().get("backend.arch_dense_fallback", 0) == before
+        )
+
     def test_gcn_keeps_the_sparse_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "sparse")
         before = metrics.counters().get("backend.arch_dense_fallback", 0)

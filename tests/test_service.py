@@ -25,7 +25,7 @@ import sys
 import threading
 import time
 import urllib.request
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -552,6 +552,30 @@ class TestServeSubprocess:
 def _http_get(url):
     with urllib.request.urlopen(url, timeout=30) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+class TestGridPayload:
+    def test_every_axis_round_trips(self):
+        """``grid_payload`` → ``_grid_from_payload`` rebuilds an equal grid."""
+        from repro.api.specs import ThreatModel
+        from repro.service import grid_payload
+        from repro.service.server import _grid_from_payload
+
+        grid = ScenarioGrid(
+            datasets=("citeseer",),
+            hidden_dims=(8,),
+            attacks=("Nettack",),
+            defenses=("svd",),
+            budget_caps=(2,),
+            seeds=(1,),
+            threats=(ThreatModel(knowledge="surrogate", surrogate_hidden=8),),
+            archs=("sage",),
+        )
+        default = ScenarioGrid()
+        for axis in fields(ScenarioGrid):
+            assert getattr(grid, axis.name) != getattr(default, axis.name)
+        payload = json.loads(json.dumps({"grid": grid_payload(grid)}))
+        assert _grid_from_payload(payload, CONFIG) == grid
 
 
 class TestRawWire:
