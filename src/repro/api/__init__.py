@@ -3,11 +3,11 @@
 Three layers, importable à la carte:
 
 * :mod:`repro.api.specs` — frozen, exactly-round-tripping spec dataclasses
-  (``ModelSpec``, ``AttackSpec``, ``DefenseSpec``, ``ExplainerSpec``,
-  ``VictimPolicy``, the composite ``ScenarioSpec`` and the
-  experiment descriptions).  Their dicts are the same canonical
-  serialization the arena's content-addressed store hashes; specs are
-  pure data with no construction methods.
+  (``AttackSpec``, ``DefenseSpec``, ``ExplainerSpec``, ``ThreatModel``
+  and the experiment descriptions).  An attack spec's dict and a
+  resolved threat's dict are entries of the arena's canonical cell
+  config (:func:`repro.arena.grid.cell_config`); specs are pure data
+  with no construction methods.
 * :mod:`repro.api.registry` — the one construction path
   (``build_attack`` / ``build_defense`` / ``build_explainer_factory``):
   each checks a spec's params against the component's declared
@@ -29,9 +29,9 @@ Quick start::
     run = session.arena(grid, "arena-store")       # robustness matrix
 
 Exports resolve lazily (PEP 562) so that low-level modules — e.g.
-:mod:`repro.arena.grid`, which derives its store keys from the specs —
-can import :mod:`repro.api.specs` without dragging in the heavy session
-machinery or creating import cycles.
+:mod:`repro.arena.grid`, which takes the cell's ``ThreatModel`` from the
+specs — can import :mod:`repro.api.specs` without dragging in the heavy
+session machinery or creating import cycles.
 """
 
 from __future__ import annotations
@@ -40,15 +40,10 @@ import importlib
 
 _EXPORTS = {
     # specs
-    "SCHEMA_VERSION": "repro.api.specs",
     "AttackSpec": "repro.api.specs",
-    "DatasetSpec": "repro.api.specs",
     "DefenseSpec": "repro.api.specs",
     "ExplainerSpec": "repro.api.specs",
-    "ModelSpec": "repro.api.specs",
-    "ScenarioSpec": "repro.api.specs",
     "ThreatModel": "repro.api.specs",
-    "VictimPolicy": "repro.api.specs",
     "TableExperiment": "repro.api.specs",
     "SweepExperiment": "repro.api.specs",
     "ArenaExperiment": "repro.api.specs",
@@ -62,7 +57,6 @@ _EXPORTS = {
     "build_defense": "repro.api.registry",
     "build_explainer_factory": "repro.api.registry",
     "fit_pg_explainer": "repro.api.registry",
-    "scenario_spec": "repro.api.registry",
     "registry_schema": "repro.api.registry",
     # session + events
     "Session": "repro.api.session",

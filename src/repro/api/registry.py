@@ -33,8 +33,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 
-from repro.api.specs import AttackSpec, DefenseSpec, ExplainerSpec, ScenarioSpec
-from repro.api.specs import DatasetSpec, ModelSpec, ThreatModel, VictimPolicy
+from repro.api.specs import AttackSpec, DefenseSpec, ExplainerSpec, ThreatModel
 from repro.attacks import ATTACKS, EXTENSION_ATTACKS, FEATURE_ATTACKS
 from repro.defense import DEFENSES
 from repro.explain import (
@@ -58,7 +57,6 @@ __all__ = [
     "build_defense",
     "build_explainer_factory",
     "fit_pg_explainer",
-    "scenario_spec",
     "registry_schema",
 ]
 
@@ -184,27 +182,6 @@ def fit_pg_explainer(case, config, memo=None):
     if memo is not None:
         memo[key] = (case, explainer)
     return explainer
-
-
-def scenario_spec(cell, config):
-    """Composite :class:`ScenarioSpec` for one arena cell under a config.
-
-    The cell's threat model is resolved to concrete values (surrogate
-    hidden/seed, adapted-defense operating point) before it enters the
-    spec — store keys always hash resolved threats, so spelling the
-    defaults out and leaving them open produce the same key.
-    """
-    from repro.threat import resolve_threat
-
-    return ScenarioSpec(
-        dataset=DatasetSpec.from_config(cell.dataset, config),
-        model=ModelSpec.from_config(config, hidden=cell.hidden, arch=cell.arch),
-        victim_policy=VictimPolicy.from_config(config),
-        attack=attack_spec(cell.attack, config),
-        budget_cap=cell.budget_cap,
-        seed=cell.seed,
-        threat=resolve_threat(cell.threat, config, cell.seed, arch=cell.arch),
-    )
 
 
 # -- defenses ----------------------------------------------------------------

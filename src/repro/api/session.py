@@ -560,9 +560,10 @@ class Session:
                     ):
                         if isinstance(event, MethodEvaluated):
                             evaluation = event.evaluation
+                            if name == "FGA":
+                                # Untargeted: the paper reports "-".
+                                evaluation.asr_t = float("nan")
                         yield event
-                    if name == "FGA":
-                        evaluation.asr_t = float("nan")  # paper reports "-"
                     evaluations[attack.name] = evaluation
                 comparison.runs.append(evaluations)
         comparison.manifest = build_manifest(

@@ -1,11 +1,11 @@
 """Typed, frozen specs: the façade's declarative vocabulary.
 
 Every spec is a frozen dataclass with an exact ``to_dict``/``from_dict``
-round-trip, and the dicts are *the* canonical serialization: a
-:class:`ScenarioSpec`'s ``to_dict`` **is** the arena's content-addressed
-cell config (see :func:`repro.arena.grid.cell_config`), so one
-serialization drives construction, storage keys and resume compatibility —
-two code paths can never drift apart.
+round-trip.  An :class:`AttackSpec`'s dict is the ``"attack"`` entry of
+the arena's content-addressed cell config and a resolved
+:class:`ThreatModel`'s dict its ``"threat"`` entry (see
+:func:`repro.arena.grid.cell_config`, which owns the rest of that
+format), so construction and storage keys read the same params.
 
 Specs are pure data (this module imports only the stdlib); the recipes
 that turn them into live objects — :func:`~repro.api.registry.build_attack`,
@@ -16,123 +16,23 @@ that turn them into live objects — :func:`~repro.api.registry.build_attack`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = [
-    "SCHEMA_VERSION",
     "AttackSpec",
-    "DatasetSpec",
     "DefenseSpec",
     "ExplainerSpec",
-    "ModelSpec",
-    "ScenarioSpec",
     "ThreatModel",
-    "VictimPolicy",
     "TableExperiment",
     "SweepExperiment",
     "ArenaExperiment",
 ]
-
-#: Bump when the stored record layout or the key schema changes; old store
-#: entries then simply miss (never mis-hit).  Canonically defined here and
-#: re-exported by :mod:`repro.arena.grid`.
-SCHEMA_VERSION = 1
 
 
 def _params_tuple(params):
     """Canonicalize a params mapping to a sorted tuple of (name, value)."""
     items = params.items() if isinstance(params, dict) else params
     return tuple(sorted((str(name), value) for name, value in items))
-
-
-class _FieldSpec:
-    """Shared to_dict/from_dict over the dataclass fields, field-per-key."""
-
-    def to_dict(self):
-        """JSON-safe dict; exact inverse of :meth:`from_dict`."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
-    def replace(self, **overrides):
-        """Copy of this spec with some fields replaced."""
-        return replace(self, **overrides)
-
-
-@dataclass(frozen=True)
-class DatasetSpec(_FieldSpec):
-    """Which synthetic citation graph to generate, and at what scale."""
-
-    name: str = "cora"
-    scale: float = 0.15
-
-    @classmethod
-    def from_config(cls, name, config):
-        return cls(name=name, scale=config.dataset_scale)
-
-
-@dataclass(frozen=True)
-class ModelSpec(_FieldSpec):
-    """The attacked model's architecture and training hyperparameters.
-
-    ``arch`` names a :data:`repro.nn.ARCHITECTURES` entry (``"gcn"``,
-    ``"gat"``, ``"sage"``, ``"gin"``).  The default ``"gcn"`` — the only
-    architecture that ever existed before the model zoo — is *omitted*
-    from :meth:`to_dict`, so every store key written before the ``arch``
-    axis existed still resolves bit-for-bit (the same back-compat trick
-    the threat axis uses).
-    """
-
-    hidden: int = 16
-    epochs: int = 200
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4
-    dropout: float = 0.5
-    arch: str = "gcn"
-
-    def to_dict(self):
-        data = super().to_dict()
-        if data["arch"] == "gcn":
-            del data["arch"]  # pre-model-zoo keys stay warm
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        data = dict(data)
-        data.setdefault("arch", "gcn")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
-    @classmethod
-    def from_config(cls, config, hidden=None, arch=None):
-        return cls(
-            hidden=config.hidden if hidden is None else int(hidden),
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-            dropout=config.dropout,
-            arch="gcn" if arch is None else str(arch),
-        )
-
-
-@dataclass(frozen=True)
-class VictimPolicy(_FieldSpec):
-    """The paper's victim-selection protocol (margin extremes + random)."""
-
-    num_victims: int = 12
-    margin_group: int = 3
-    min_degree: int = 1
-    max_degree: int = 10
-
-    @classmethod
-    def from_config(cls, config):
-        return cls(
-            num_victims=config.num_victims,
-            margin_group=config.margin_group,
-            min_degree=config.min_degree,
-            max_degree=config.max_degree,
-        )
 
 
 class _NamedParamsSpec:
@@ -214,7 +114,7 @@ ADAPTIVITY_LEVELS = ("oblivious", "preprocess_aware")
 
 
 @dataclass(frozen=True)
-class ThreatModel(_FieldSpec):
+class ThreatModel:
     """What the attacker knows and what it optimizes through.
 
     Two orthogonal axes:
@@ -239,8 +139,9 @@ class ThreatModel(_FieldSpec):
     every named-params spec.
 
     The default instance is the exact historical threat model, and it is
-    *omitted* from :meth:`ScenarioSpec.to_dict` — so every store key ever
-    written before the threat axis existed still resolves bit-for-bit.
+    *omitted* from :func:`repro.arena.grid.cell_config` — so every store
+    key ever written before the threat axis existed still resolves
+    bit-for-bit.
     """
 
     knowledge: str = "white_box"
@@ -298,13 +199,14 @@ class ThreatModel(_FieldSpec):
 
     def oblivious_twin(self):
         """The same knowledge level with the adaptivity stripped."""
-        return self.replace(
-            adaptivity="oblivious", defense=None, defense_params=()
+        return replace(
+            self, adaptivity="oblivious", defense=None, defense_params=()
         )
 
     def white_box_twin(self):
         """The same adaptivity with full (white-box) model knowledge."""
-        return self.replace(
+        return replace(
+            self,
             knowledge="white_box",
             surrogate_hidden=None,
             surrogate_seed=None,
@@ -312,7 +214,8 @@ class ThreatModel(_FieldSpec):
         )
 
     def to_dict(self):
-        data = super().to_dict()
+        """JSON-safe dict; exact inverse of :meth:`from_dict`."""
+        data = asdict(self)
         if data["surrogate_arch"] is None:
             del data["surrogate_arch"]  # pre-model-zoo threat keys stay warm
         return data
@@ -424,64 +327,6 @@ class ThreatModel(_FieldSpec):
                     "adaptive:<defense>"
                 )
         return cls(**fields)
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything that determines one execution cell's attack results.
-
-    The composite spec behind the arena's content-addressed store:
-    :meth:`to_dict` produces byte-for-byte the canonical cell config that
-    :func:`repro.arena.grid.cell_config` has always hashed, so stores
-    written before this API existed stay warm.  The threat axis keeps that
-    guarantee: a default (white-box oblivious) :class:`ThreatModel` is
-    *omitted* from the dict entirely, so pre-threat-axis stores resume
-    with zero re-executed attacks; any non-default threat enters the dict
-    (and hence the key) under ``"threat"``.
-    """
-
-    dataset: DatasetSpec
-    model: ModelSpec
-    victim_policy: VictimPolicy
-    attack: AttackSpec
-    budget_cap: int = 3
-    seed: int = 0
-    threat: ThreatModel = ThreatModel()
-
-    def to_dict(self):
-        data = {
-            "schema": SCHEMA_VERSION,
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "victim_protocol": self.victim_policy.to_dict(),
-            "attack": self.attack.to_dict(),
-            "budget_cap": self.budget_cap,
-            "seed": self.seed,
-        }
-        if not self.threat.is_default:
-            data["threat"] = self.threat.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"scenario schema {data.get('schema')!r} does not match "
-                f"version {SCHEMA_VERSION}"
-            )
-        return cls(
-            dataset=DatasetSpec.from_dict(data["dataset"]),
-            model=ModelSpec.from_dict(data["model"]),
-            victim_policy=VictimPolicy.from_dict(data["victim_protocol"]),
-            attack=AttackSpec.from_dict(data["attack"]),
-            budget_cap=data["budget_cap"],
-            seed=data["seed"],
-            threat=(
-                ThreatModel.from_dict(data["threat"])
-                if "threat" in data
-                else ThreatModel()
-            ),
-        )
 
 
 # -- experiment descriptions (inputs to Session.run) -------------------------

@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 
-from repro.api.specs import SCHEMA_VERSION, ThreatModel
+from repro.api.specs import ThreatModel
 from repro.schema import spec_kwargs
 
 __all__ = [
@@ -36,10 +36,15 @@ __all__ = [
     "canonical_json",
     "content_key",
     "cell_config",
+    "cell_from_config",
     "validate_grid",
     "victim_dict",
     "victim_key",
 ]
+
+#: Bump when the stored record layout or the key schema changes; old store
+#: entries then simply miss (never mis-hit).
+SCHEMA_VERSION = 1
 
 
 def canonical_json(payload):
@@ -226,18 +231,82 @@ def validate_grid(grid):
 def cell_config(cell, config):
     """Canonical dict of everything that determines a cell's results.
 
-    Generated from the typed specs (:func:`repro.api.registry
-    .scenario_spec`): the attack's scoped operating point comes from the
+    This and :func:`cell_from_config` are the only code that knows the
+    store's cell format.  The attack entry is the attack's
+    :class:`~repro.api.specs.AttackSpec` dict, whose params come from the
     class's declared ``config_params`` schema — only knobs the attack
     actually consumes enter the key, so changing ``geattack_lam``
-    invalidates GEAttack cells but not Nettack's — and the composite dict
-    is byte-for-byte the spec's ``to_dict``, so one serialization drives
-    construction and storage alike (stores written before the spec layer
-    existed stay warm).
+    invalidates GEAttack cells but not Nettack's.  Two entries appear only
+    off their defaults, so keys written before their axes existed still
+    resolve: ``model.arch`` unless it is ``"gcn"``, and ``threat`` — the
+    resolved threat model, so open and spelled-out defaults share keys —
+    unless it is the white-box oblivious default.
     """
-    from repro.api.registry import scenario_spec
+    from repro.api.registry import attack_spec
+    from repro.threat import resolve_threat
 
-    return scenario_spec(cell, config).to_dict()
+    model = {
+        "hidden": int(cell.hidden),
+        "epochs": config.epochs,
+        "learning_rate": config.learning_rate,
+        "weight_decay": config.weight_decay,
+        "dropout": config.dropout,
+    }
+    if cell.arch != "gcn":
+        model["arch"] = str(cell.arch)  # pre-model-zoo keys stay warm
+    data = {
+        "schema": SCHEMA_VERSION,
+        "dataset": {"name": cell.dataset, "scale": config.dataset_scale},
+        "model": model,
+        "victim_protocol": {
+            "num_victims": config.num_victims,
+            "margin_group": config.margin_group,
+            "min_degree": config.min_degree,
+            "max_degree": config.max_degree,
+        },
+        "attack": attack_spec(cell.attack, config).to_dict(),
+        "budget_cap": cell.budget_cap,
+        "seed": cell.seed,
+    }
+    threat = resolve_threat(cell.threat, config, cell.seed, arch=cell.arch)
+    if not threat.is_default:
+        data["threat"] = threat.to_dict()  # pre-threat-axis keys stay warm
+    return data
+
+
+def cell_from_config(data):
+    """The :class:`ScenarioCell` a :func:`cell_config` dict describes.
+
+    Reads only the cell's own fields; whether the config-fed entries match
+    a given config is the caller's check (compare :func:`content_key` of
+    ``cell_config(cell, config)`` with that of ``data``).  Raises
+    :class:`ValueError` when ``data`` is not a dict of that shape or names
+    another schema version.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a cell config is a JSON object, got {data!r}")
+    if data.get("schema") != SCHEMA_VERSION:
+        raise ValueError(
+            f"cell config schema {data.get('schema')!r} does not match "
+            f"version {SCHEMA_VERSION}"
+        )
+    try:
+        model = data["model"]
+        return ScenarioCell(
+            dataset=data["dataset"]["name"],
+            hidden=model["hidden"],
+            attack=data["attack"]["name"],
+            budget_cap=data["budget_cap"],
+            seed=data["seed"],
+            threat=(
+                ThreatModel.from_dict(data["threat"])
+                if "threat" in data
+                else ThreatModel()
+            ),
+            arch=model.get("arch", "gcn"),
+        )
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"malformed cell config: {error!r}") from error
 
 
 def victim_dict(spec):

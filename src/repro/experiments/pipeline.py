@@ -63,7 +63,7 @@ class PreparedCase:
     seed: int
     #: Victim architecture (:data:`repro.nn.ARCHITECTURES` name).  The
     #: default ``"gcn"`` is the historical setting and stays invisible in
-    #: store keys (see :class:`repro.api.specs.ModelSpec`).
+    #: store keys (see :func:`repro.arena.grid.cell_config`).
     arch: str = "gcn"
 
 

@@ -57,7 +57,7 @@ __all__ = [
 class NodeClassifier(Module):
     """Shared victim-model surface: prediction helpers + operator hooks."""
 
-    #: Registry name of the architecture (``ModelSpec.arch`` values).
+    #: Registry name of the architecture (``ScenarioCell.arch`` values).
     arch = None
     #: Whether a degree-offset-corrected subgraph view reproduces
     #: full-graph logits exactly (the locality engine's contract).
@@ -391,7 +391,7 @@ class LinearizedGCN(Module):
         return cls.from_model(gcn, rng=rng)
 
 
-#: Registry of victim architectures (``ModelSpec.arch`` / ``--archs``).
+#: Registry of victim architectures (``ScenarioCell.arch`` / ``--archs``).
 ARCHITECTURES = {
     "gcn": GCN,
     "gat": GAT,

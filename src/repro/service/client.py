@@ -88,7 +88,7 @@ class ServiceClient:
         """``POST /jobs``; returns the job id.
 
         ``grid`` may be a :class:`~repro.arena.grid.ScenarioGrid` or an
-        axis dict; ``scenario`` is one canonical ``ScenarioSpec`` dict
+        axis dict; ``scenario`` is a canonical ``cell_config`` dict
         (optionally with evaluation ``defenses``).  ``fresh`` clears the
         store before the run.
         """

@@ -49,13 +49,18 @@ def _grid_from_payload(payload, config):
 
     Accepts either ``{"grid": {axes...}}`` (threat entries may be CLI
     grammar strings or ``ThreatModel`` dicts) or ``{"scenario": {...}}``
-    — one canonical :class:`~repro.api.specs.ScenarioSpec` dict, which is
+    — one canonical :func:`~repro.arena.grid.cell_config` dict, which is
     validated by rebuilding the cell's config under *this server's*
-    experiment config and demanding an exact match, so a client can never
-    silently execute under different knobs than it hashed.
+    experiment config and demanding the same content key, so a client can
+    never silently execute under different knobs than it hashed.
     """
-    from repro.api.specs import ScenarioSpec, ThreatModel
-    from repro.arena.grid import ScenarioCell, ScenarioGrid, cell_config
+    from repro.api.specs import ThreatModel
+    from repro.arena.grid import (
+        ScenarioGrid,
+        cell_config,
+        cell_from_config,
+        content_key,
+    )
 
     if "grid" in payload and "scenario" in payload:
         raise _BadRequest('submit either "grid" or "scenario", not both')
@@ -71,8 +76,7 @@ def _grid_from_payload(payload, config):
             )
         kwargs = {}
         for axis, values in axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise _BadRequest(f'grid axis "{axis}" must be a non-empty list')
+            _require_list(f'grid axis "{axis}"', values)
             if axis == "threats":
                 values = [
                     ThreatModel.from_dict(entry)
@@ -86,26 +90,20 @@ def _grid_from_payload(payload, config):
         except (TypeError, ValueError) as error:
             raise _BadRequest(f"invalid grid: {error}") from error
     if "scenario" in payload:
+        scenario = payload["scenario"]
         try:
-            spec = ScenarioSpec.from_dict(payload["scenario"])
+            cell = cell_from_config(scenario)
+            canonical = cell_config(cell, config)
         except (KeyError, TypeError, ValueError) as error:
-            raise _BadRequest(f"invalid scenario: {error}") from error
-        cell = ScenarioCell(
-            dataset=spec.dataset.name,
-            hidden=spec.model.hidden,
-            attack=spec.attack.name,
-            budget_cap=spec.budget_cap,
-            seed=spec.seed,
-            threat=spec.threat,
-            arch=spec.model.arch,
-        )
-        if cell_config(cell, config) != payload["scenario"]:
+            raise _BadRequest(f"invalid scenario: {error.args[0]}") from error
+        if content_key(canonical) != content_key(scenario):
             raise _BadRequest(
                 "scenario does not match this server's experiment config; "
                 "fetch the canonical dict from a cell this server executed "
                 "or submit a grid instead"
             )
-        defenses = payload.get("defenses") or ("none",)
+        defenses = payload.get("defenses", ["none"])
+        _require_list('"defenses"', defenses)
         return ScenarioGrid(
             datasets=(cell.dataset,),
             hidden_dims=(cell.hidden,),
@@ -117,6 +115,12 @@ def _grid_from_payload(payload, config):
             archs=(cell.arch,),
         )
     raise _BadRequest('request body must contain "grid" or "scenario"')
+
+
+def _require_list(what, values):
+    """400 unless ``values`` is a non-empty JSON list."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise _BadRequest(f"{what} must be a non-empty list")
 
 
 class ArenaService:

@@ -77,7 +77,8 @@ def resolve_threat(threat, config, seed, arch="gcn"):
         surrogate_arch = threat.surrogate_arch
         if surrogate_arch is not None and str(surrogate_arch) == str(arch):
             surrogate_arch = None
-        threat = threat.replace(
+        threat = replace(
+            threat,
             surrogate_hidden=(
                 int(config.hidden)
                 if threat.surrogate_hidden is None
@@ -93,8 +94,8 @@ def resolve_threat(threat, config, seed, arch="gcn"):
     if threat.is_adaptive and not threat.defense_params:
         from repro.api.registry import defense_spec
 
-        threat = threat.replace(
-            defense_params=defense_spec(threat.defense, config).params
+        threat = replace(
+            threat, defense_params=defense_spec(threat.defense, config).params
         )
     return threat
 

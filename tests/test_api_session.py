@@ -5,6 +5,7 @@ all execute through ``Session.run``, whose drains (``table``/``sweep``/
 ``arena``) return exactly the ``RunCompleted`` result of the stream.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -77,6 +78,16 @@ class TestTableThroughSession:
         assert format_comparison_table(drained) == format_comparison_table(
             comparison
         )
+
+    def test_fga_event_carries_nan_asr_t_when_yielded(self, session):
+        """A streaming consumer sees FGA's "-" exactly as the table does."""
+        at_yield = []
+        for event in session.run(TableExperiment("cora", methods=("FGA",))):
+            if isinstance(event, MethodEvaluated):
+                wire = MethodEvaluated.from_dict(event.to_dict())
+                at_yield += [event.evaluation.asr_t, wire.evaluation.asr_t]
+        assert at_yield
+        assert all(math.isnan(asr_t) for asr_t in at_yield)
 
     def test_case_cache_shared(self, session):
         assert session.case("cora") is session.case("cora")

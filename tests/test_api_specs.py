@@ -3,9 +3,10 @@
 Three contracts guard the refactor:
 
 1. **Round-trip exactness** — ``Spec.from_dict(spec.to_dict()) == spec``
-   for every registered attack, defense and explainer (and the composite
-   ``ScenarioSpec``), so specs can travel through JSON losslessly.
-2. **Store-key compatibility** — spec-derived cell configs hash to
+   for every registered attack, defense and explainer, and
+   ``cell_from_config(cell_config(cell, config)) == cell`` for every
+   cell, so specs and cells can travel through JSON losslessly.
+2. **Store-key compatibility** — generated cell configs hash to
    byte-identical content keys as the pre-refactor hand-maintained
    implementation (frozen below), so arena stores written before the spec
    layer existed stay warm after it.
@@ -22,22 +23,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api.registry import EXPLAINERS, attack_spec, defense_spec, scenario_spec
-from repro.api.specs import (
-    SCHEMA_VERSION,
-    AttackSpec,
-    DatasetSpec,
-    DefenseSpec,
-    ExplainerSpec,
-    ModelSpec,
-    ScenarioSpec,
-    ThreatModel,
-    VictimPolicy,
-)
+from repro.api.registry import EXPLAINERS, attack_spec, defense_spec
+from repro.api.specs import AttackSpec, DefenseSpec, ExplainerSpec, ThreatModel
 from repro.arena.grid import (
+    SCHEMA_VERSION,
     ScenarioCell,
     canonical_json,
     cell_config,
+    cell_from_config,
     content_key,
     victim_key,
 )
@@ -129,30 +122,30 @@ class TestRoundTrips:
         )
         assert ExplainerSpec.from_dict(spec.to_dict()) == spec
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            DatasetSpec("acm", 0.25),
-            ModelSpec.from_config(TWEAKED, hidden=48),
-            VictimPolicy.from_config(TWEAKED),
-        ],
-        ids=lambda spec: type(spec).__name__,
-    )
-    def test_simple_spec_round_trip(self, spec):
-        assert type(spec).from_dict(spec.to_dict()) == spec
-
     @pytest.mark.parametrize("name", EDGE_ATTACKS)
-    def test_scenario_spec_round_trip(self, name):
-        spec = scenario_spec(ScenarioCell("citeseer", 32, name, 5, 3), TWEAKED)
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    def test_cell_config_round_trip(self, name):
+        cell = ScenarioCell("citeseer", 32, name, 5, 3)
+        assert cell_from_config(cell_config(cell, TWEAKED)) == cell
 
-    def test_scenario_spec_rejects_other_schema(self):
-        data = scenario_spec(
-            ScenarioCell("cora", 16, "FGA", 3, 0), SMOKE
-        ).to_dict()
-        data["schema"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema"):
-            ScenarioSpec.from_dict(data)
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            "x",
+            {"schema": SCHEMA_VERSION + 1},
+            {"schema": SCHEMA_VERSION},
+            {"schema": SCHEMA_VERSION, "dataset": "cora"},
+            {
+                "schema": SCHEMA_VERSION,
+                "dataset": {"name": "cora"},
+                "model": [16],
+            },
+        ],
+        ids=["list", "string", "other-schema", "empty", "flat", "model-list"],
+    )
+    def test_cell_from_config_rejects_malformed(self, data):
+        with pytest.raises(ValueError):
+            cell_from_config(data)
 
     def test_with_params_overrides(self):
         spec = attack_spec("GEAttack", SMOKE)
@@ -298,13 +291,12 @@ class TestArchAxisKeys:
         assert cfg["model"]["arch"] == arch
         assert content_key(cfg) != frozen["GEAttack/smoke"]["cell_sha"]
 
-    def test_model_spec_omits_default_arch(self):
-        spec = ModelSpec.from_config(SMOKE, hidden=16)
-        assert "arch" not in spec.to_dict()
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
-        gat = ModelSpec.from_config(SMOKE, hidden=16, arch="gat")
-        assert gat.to_dict()["arch"] == "gat"
-        assert ModelSpec.from_dict(gat.to_dict()) == gat
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_arch_round_trips_through_cell_config(self, arch):
+        cell = ScenarioCell("cora", 16, "GEAttack", 3, 0, arch=arch)
+        cfg = cell_config(cell, SMOKE)
+        assert cfg["model"].get("arch", "gcn") == arch
+        assert cell_from_config(cfg) == cell
 
     def test_same_arch_surrogate_normalizes_to_default_key(self):
         """``surrogate:gcn`` on a gcn victim ≡ plain ``surrogate``."""
@@ -422,15 +414,16 @@ class TestThreatModelSpec:
         assert threat.white_box_twin() == ThreatModel.parse("adaptive:jaccard")
         assert threat.oblivious_twin().white_box_twin().is_default
 
-    def test_scenario_spec_with_threat_round_trips(self):
-        spec = scenario_spec(
-            ScenarioCell(
-                "cora", 16, "Nettack", 3, 0, ThreatModel.parse("adaptive:explainer")
-            ),
-            SMOKE,
+    def test_cell_config_with_threat_round_trips(self):
+        cell = ScenarioCell(
+            "cora", 16, "Nettack", 3, 0, ThreatModel.parse("adaptive:explainer")
         )
-        data = json.loads(canonical_json(spec.to_dict()))
-        assert ScenarioSpec.from_dict(data) == spec
+        data = json.loads(canonical_json(cell_config(cell, SMOKE)))
+        # The parsed cell carries the resolved threat, not the open one,
+        # so it round-trips to the same bytes rather than the same cell.
+        assert canonical_json(
+            cell_config(cell_from_config(data), SMOKE)
+        ) == canonical_json(data)
         # The resolved adapted-defense operating point is in the key.
         assert data["threat"]["defense_params"] == [
             ["inspection_window", SMOKE.explanation_size]

@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, ThreatModel
 from repro.api import session as session_module
 from repro.api.events import (
     CellDeferred,
@@ -38,7 +38,7 @@ from repro.api.events import (
     RunCompleted,
     VictimAttacked,
 )
-from repro.arena import ResultStore, ScenarioGrid
+from repro.arena import ResultStore, ScenarioCell, ScenarioGrid, cell_config
 from repro.experiments import SCALE_PRESETS
 from repro.service import ArenaService, JobQueue, ServiceClient, ServiceError
 
@@ -268,14 +268,24 @@ class TestEndpoints:
         assert tail == everything[2:]
 
 
-class TestScenarioSubmission:
-    def test_canonical_scenario_dict_runs(self, service):
-        from repro.arena.grid import ScenarioCell, cell_config
+def _dice_cell(**overrides):
+    """The one-attack cell the scenario tests submit."""
+    cell = ScenarioCell("cora", CONFIG.hidden, "DICE", 2, 0)
+    return replace(cell, **overrides)
 
-        cell = ScenarioCell(
-            dataset="cora", hidden=CONFIG.hidden, attack="DICE",
-            budget_cap=2, seed=0,
-        )
+
+class TestScenarioSubmission:
+    @pytest.mark.parametrize(
+        "threat",
+        [
+            "white_box",
+            "surrogate",
+            "adaptive:jaccard",
+            "surrogate+adaptive:svd",
+        ],
+    )
+    def test_canonical_scenario_dict_runs(self, service, threat):
+        cell = _dice_cell(threat=ThreatModel.parse(threat))
         scenario = cell_config(cell, CONFIG)
         client = ServiceClient(service.url)
         job = client.submit(scenario=scenario, defenses=["none"])
@@ -283,29 +293,38 @@ class TestScenarioSubmission:
         assert status["state"] == "done"
         assert status["cells"] == 1
 
-    def test_mismatched_scenario_rejected(self, service):
-        from repro.arena.grid import ScenarioCell, cell_config
-
-        cell = ScenarioCell(
-            dataset="cora", hidden=CONFIG.hidden, attack="DICE",
-            budget_cap=2, seed=0,
-        )
-        scenario = cell_config(cell, CONFIG)
-        scenario["model"]["epochs"] = 99999  # not this server's config
+    @pytest.mark.parametrize("entry", ["model", "schema"])
+    def test_mismatched_scenario_rejected(self, service, entry):
+        scenario = cell_config(_dice_cell(), CONFIG)
+        if entry == "model":
+            scenario["model"]["epochs"] = 99999  # not this server's config
+        else:
+            scenario["schema"] += 1  # not this server's store format
         with pytest.raises(ServiceError) as err:
             ServiceClient(service.url).submit(scenario=scenario)
         assert err.value.status == 400
         assert "does not match" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [
+            ({"scenario": [1, 2]}, "invalid scenario"),
+            ({"scenario": "x"}, "invalid scenario"),
+            ({"defenses": 5}, '"defenses" must be a non-empty list'),
+            ({"defenses": "jaccard"}, '"defenses" must be a non-empty list'),
+        ],
+        ids=["list", "string", "defenses-int", "defenses-string"],
+    )
+    def test_malformed_scenario_body_is_400(self, service, body, fragment):
+        body = {"scenario": cell_config(_dice_cell(), CONFIG), **body}
+        with pytest.raises(ServiceError) as err:
+            ServiceClient(service.url)._request("/jobs", body)
+        assert err.value.status == 400
+        assert fragment in str(err.value)
+
     def test_scenario_with_arch_runs(self, service):
         """A non-default architecture rides the scenario POST path."""
-        from repro.arena.grid import ScenarioCell, cell_config
-
-        cell = ScenarioCell(
-            dataset="cora", hidden=CONFIG.hidden, attack="DICE",
-            budget_cap=2, seed=0, arch="sage",
-        )
-        scenario = cell_config(cell, CONFIG)
+        scenario = cell_config(_dice_cell(arch="sage"), CONFIG)
         assert scenario["model"]["arch"] == "sage"
         client = ServiceClient(service.url)
         status = client.wait(client.submit(scenario=scenario, defenses=["none"]))
@@ -313,15 +332,9 @@ class TestScenarioSubmission:
         assert status["cells"] == 1
 
     def test_scenario_with_unknown_arch_rejected(self, service):
-        from repro.arena.grid import ScenarioCell, cell_config
-
-        cell = ScenarioCell(
-            dataset="cora", hidden=CONFIG.hidden, attack="DICE",
-            budget_cap=2, seed=0, arch="bogus",
-        )
         with pytest.raises(ServiceError) as err:
             ServiceClient(service.url).submit(
-                scenario=cell_config(cell, CONFIG)
+                scenario=cell_config(_dice_cell(arch="bogus"), CONFIG)
             )
         assert err.value.status == 400
         assert "unknown architecture 'bogus'" in str(err.value)
@@ -557,7 +570,6 @@ def _http_get(url):
 class TestGridPayload:
     def test_every_axis_round_trips(self):
         """``grid_payload`` → ``_grid_from_payload`` rebuilds an equal grid."""
-        from repro.api.specs import ThreatModel
         from repro.service import grid_payload
         from repro.service.server import _grid_from_payload
 
