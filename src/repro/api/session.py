@@ -344,6 +344,20 @@ def sweep_points(case, victims, kind, values=None, explainer_factory=None, jobs=
 # -- the session -------------------------------------------------------------
 
 
+def _defense_runtime(defense_name, case, cell):
+    """A cell's runtime wiring for one defense (only the inspector has any).
+
+    The arena's explainer inspector is the paper's Section-3 defender: it
+    holds a clean pre-attack snapshot, so only *new* edges are prunable
+    (the knowledge detection@K assumes), and may prune as many edges as
+    the budget cap.  An adaptive attacker rebuilds the same wiring: the
+    snapshot is the graph it observes and the cap its own operating point.
+    """
+    if defense_name != "explainer":
+        return {}
+    return {"prune_k": cell.budget_cap, "trusted_edges": case.graph.edge_set()}
+
+
 class Session:
     """One front door for attack construction, execution and results.
 
@@ -472,7 +486,8 @@ class Session:
 
         ``progress`` (``callable(str)``) receives the historical one line
         per execution cell.  Concurrent runs on one store coordinate
-        through leases (see :class:`ArenaExperiment`).
+        through :meth:`ResultStore.fill`'s leases (see
+        :class:`ArenaExperiment`).
         """
         result = None
         for event in self.run(
@@ -595,59 +610,49 @@ class Session:
             store = ResultStore(store)
         if experiment.fresh:
             store.clear()
-        config = self.config
         # Fail on axis typos in milliseconds, not after the first cell's
         # attacks have burned minutes of compute.
         validate_grid(grid)
-        run = ArenaRun(grid=grid, config=config)
+        run = ArenaRun(grid=grid, config=self.config)
 
         tracer = get_tracer()
         base = metrics.snapshot()
         cells = list(grid.cells())
-        cell_rows = {}
-        prep = {}
-
-        def attempt(cell, first):
-            """One timed attempt at a cell, folded into its manifest row."""
-            with tracer.span("cell", cell=cell.label()) as span:
-                completed, cached, executed = yield from self._attempt_cell(
-                    run, grid, store, cell, prep, span, first
-                )
-            row = cell_rows.setdefault(
-                cell.label(),
-                {"label": cell.label(), "seconds": 0.0, "cached": 0,
-                 "executed": 0},
-            )
-            row["seconds"] += span.seconds
-            if completed:
-                row["cached"] += cached
-                row["executed"] += executed
-            return completed
-
+        cell_rows = {
+            cell.label(): {"label": cell.label(), "seconds": 0.0, "cached": 0,
+                           "executed": 0}
+            for cell in cells
+        }
         with tracer.span(
             "arena-run", cells=len(cells), defenses=len(grid.defenses)
         ) as root:
-            # First pass: execute every cell whose lease we win immediately.
-            # A cell leased by another live run is deferred, not blocked on —
-            # with a single writer (the historical case) no lease is ever
+            # Every cell whose lease this run wins executes on the first
+            # pass.  A cell leased by another live run is deferred, not
+            # blocked on, and re-polled until its foreign writer commits
+            # (or dies: an expired lease is stolen and the leftovers
+            # executed here).  With a single writer no lease is ever
             # contested, so ordering and results are unchanged.
-            pending = []
-            for cell in cells:
-                if not (yield from attempt(cell, first=True)):
-                    pending.append(cell)
-
-            # Re-poll deferred cells until their foreign writers commit (or
-            # die: an expired lease is stolen and the leftovers executed
-            # here).
+            pending, first = cells, True
             while pending:
-                still_pending = []
+                waiting = []
                 for cell in pending:
-                    if not (yield from attempt(cell, first=False)):
-                        still_pending.append(cell)
-                pending = still_pending
-                if pending:
-                    with tracer.span("lease-wait", pending=len(pending)):
+                    with tracer.span("cell", cell=cell.label()) as span:
+                        done = yield from self._attempt_cell(
+                            run, grid, store, cell, span, first
+                        )
+                    row = cell_rows[cell.label()]
+                    row["seconds"] += span.seconds
+                    if done is None:
+                        waiting.append(cell)
+                    else:
+                        row["cached"] += done[0]
+                        row["executed"] += done[1]
+                # The first re-poll follows the first pass at once: the
+                # rest of that pass gave foreign writers time to commit.
+                if waiting and not first:
+                    with tracer.span("lease-wait", pending=len(waiting)):
                         time.sleep(POLL_INTERVAL)
+                pending, first = waiting, False
         run.manifest = build_manifest(
             wall_seconds=root.seconds,
             cells=list(cell_rows.values()),
@@ -655,169 +660,88 @@ class Session:
         )
         yield RunCompleted(run, span=root.id)
 
-    def _attempt_cell(self, run, grid, store, cell, prep, span, first):
+    def _attempt_cell(self, run, grid, store, cell, span, first):
         """One leased attempt at an arena cell (an event generator).
 
-        Runs inside the attempt's open ``cell`` ``span``.  Returns
-        ``(completed, cached, executed)`` through the generator protocol
-        (``yield from`` captures it).  ``prep`` memoizes the cell's
-        prepared case/specs/keys across re-poll attempts; the
-        ``CellDeferred`` event and the deferral counters fire only on the
-        ``first`` attempt (re-polls are silent until the cell completes).
+        Runs inside the attempt's open ``cell`` ``span`` and returns
+        ``(cached, executed)`` through the generator protocol, or ``None``
+        when another run holds the cell's lease.  ``CellDeferred`` and the
+        deferral counters fire only on the ``first`` attempt (re-polls are
+        silent until the cell completes).
         """
-        tracer = get_tracer()
-        entry = prep.get(id(cell))
-        if entry is None:
-            case, victims = self.prepared(
-                cell.dataset,
-                seed=cell.seed,
-                hidden=cell.hidden,
-                arch=cell.arch,
-            )
-            specs = [
-                VictimSpec(
-                    node=victim.node,
-                    target_label=victim.target_label,
-                    budget=min(victim.budget, cell.budget_cap),
-                )
-                for victim in victims
-            ]
-            cfg = cell_config(cell, self.config)
-            keys = [victim_key(cfg, spec) for spec in specs]
-            entry = prep[id(cell)] = (case, specs, cfg, keys)
-        case, specs, cfg, keys = entry
-        # Read *through* the store up front: a missing, torn or
-        # quarantined record is simply a miss to re-execute.
-        with tracer.span("store-read", records=len(keys)):
-            payloads = {key: store.get(key) for key in keys}
-        missing = [
-            (spec, key)
-            for spec, key in zip(specs, keys)
-            if payloads[key] is None
-        ]
-        executed_keys = frozenset()
-        if missing:
-            lease = store.try_lease(content_key(cfg))
-            if lease is None:
-                span.set(
-                    deferred=True,
-                    cached=len(specs) - len(missing),
-                    executed=0,
-                )
-                if first:
-                    run.deferred += 1
-                    metrics.incr("arena.cells_deferred")
-                    yield CellDeferred(
-                        cell=cell, missing=len(missing), span=span.id
-                    )
-                return (False, 0, 0)
-            try:
-                # Heartbeat the lease while the attacks run: a cell
-                # slower than the TTL stays ours (renewed every
-                # ttl/3) instead of being stolen and double-executed
-                # by a concurrent run.
-                with lease.keep_alive():
-                    executed_keys = self._execute_missing(
-                        run, store, cell, case, cfg, missing
-                    )
-            finally:
-                lease.release()
-        cached = len(specs) - len(executed_keys)
-        span.set(cached=cached, executed=len(executed_keys))
-        run.loaded += cached
-        yield from self._finish_cell(
-            run, grid, store, cell, case, specs, keys, executed_keys,
-            payloads,
+        case, victims = self.prepared(
+            cell.dataset, seed=cell.seed, hidden=cell.hidden, arch=cell.arch
         )
-        return (True, cached, len(executed_keys))
+        specs = [
+            VictimSpec(victim.node, victim.target_label,
+                       min(victim.budget, cell.budget_cap))
+            for victim in victims
+        ]
+        cfg = cell_config(cell, self.config)
+        keys = [victim_key(cfg, spec) for spec in specs]
+        spec_of = dict(zip(keys, specs))
+        payloads, written = store.fill(
+            content_key(cfg),
+            keys,
+            lambda missing: self._execute(
+                cell, case, cfg, [spec_of[key] for key in missing]
+            ),
+        )
+        if written is None:
+            span.set(deferred=True)
+            if first:
+                run.deferred += 1
+                metrics.incr("arena.cells_deferred")
+                missing = list(payloads.values()).count(None)
+                yield CellDeferred(cell=cell, missing=missing, span=span.id)
+            return None
+        cached, executed = len(specs) - len(written), len(written)
+        span.set(cached=cached, executed=executed)
+        run.loaded += cached
+        run.executed += executed
+        for spec, key in zip(specs, keys):
+            yield VictimAttacked(
+                cell=cell, victim=spec, loaded=key not in written, span=span.id
+            )
+        yield CellExecuted(
+            cell=cell, cached=cached, executed=executed, span=span.id
+        )
+        # Always evaluate through the store: serialize → deserialize →
+        # rebuild, so warm and cold runs see bit-identical inputs.
+        results = [
+            AttackResult.from_dict(payloads[key]["result"], graph=case.graph)
+            for key in keys
+        ]
+        for defense_name in grid.defenses:
+            with get_tracer().span("defense", defense=defense_name):
+                evaluation = self._score_defense(
+                    cell, defense_name, case, specs, results
+                )
+            run.evaluations.append(evaluation)
+            yield CellScored(evaluation, span=span.id)
+        return cached, executed
 
-    def _execute_missing(self, run, store, cell, case, cfg, missing):
-        """Attack a cell's missing victims under a held lease; store results.
-
-        Returns the keys *this run* executed.  The previous lease holder
-        may have committed some of ``missing`` between our store read and
-        the acquisition, so membership is re-checked under the lease —
-        that re-check is what makes concurrent overlapping grids execute
-        each unique victim exactly once.
-        """
+    def _execute(self, cell, case, cfg, specs):
+        """Attack a cell's missing victims; one store payload per spec."""
         from repro.threat import execute_with_threat, resolve_threat
 
-        missing = [
-            (spec, key) for spec, key in missing if store.get(key) is None
-        ]
-        if not missing:
-            return frozenset()
-        threat = resolve_threat(
-            cell.threat, self.config, cell.seed,
-            arch=cell.arch,
-        )
+        threat = resolve_threat(cell.threat, self.config, cell.seed, arch=cell.arch)
         attack = build_attack(
             cell.attack, case, self.config, context=self, threat=threat
         )
         results = execute_with_threat(
             attack,
             case,
-            [spec for spec, _ in missing],
+            specs,
             threat=threat,
             defense=self._attacker_defense(threat, case, cell),
             jobs=self.jobs,
         )
-        run.executed += len(results)
-        with get_tracer().span("store-write", records=len(results)):
-            with store.bulk():
-                for (spec, key), result in zip(missing, results):
-                    store.put(
-                        key,
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "cell": cfg,
-                            "victim": victim_dict(spec),
-                            "result": result.to_dict(),
-                        },
-                    )
-        return frozenset(key for _, key in missing)
-
-    def _finish_cell(
-        self, run, grid, store, cell, case, specs, keys, executed_keys, payloads
-    ):
-        """Emit a completed cell's events and score every defense on it."""
-        tracer = get_tracer()
-        span = tracer.current_id()
-        for spec, key in zip(specs, keys):
-            yield VictimAttacked(
-                cell=cell, victim=spec, loaded=key not in executed_keys,
-                span=span,
-            )
-        yield CellExecuted(
-            cell=cell,
-            cached=len(specs) - len(executed_keys),
-            executed=len(executed_keys),
-            span=span,
-        )
-        # Always evaluate through the store: serialize → deserialize →
-        # rebuild, so warm and cold runs see bit-identical inputs.  Keys
-        # executed (by us or a concurrent writer) since the first read
-        # are re-fetched from disk.
-        results = []
-        for key in keys:
-            payload = payloads.get(key)
-            if payload is None:
-                payload = store.get(key)
-            if payload is None:
-                raise RuntimeError(
-                    f"arena store record {key[:12]}… vanished mid-run "
-                    "(concurrent clear, or repeated corruption?)"
-                )
-            results.append(
-                AttackResult.from_dict(payload["result"], graph=case.graph)
-            )
-        for defense_name in grid.defenses:
-            with tracer.span("defense", defense=defense_name):
-                evaluation = self._score_defense(
-                    cell, defense_name, case, specs, results
-                )
-            run.evaluations.append(evaluation)
-            yield CellScored(evaluation, span=span)
+        return [
+            {"schema": SCHEMA_VERSION, "cell": cfg, "victim": victim_dict(spec),
+             "result": result.to_dict()}
+            for spec, result in zip(specs, results)
+        ]
 
     def _attacker_defense(self, threat, case, cell):
         """The adaptive attacker's simulation of its adapted defense.
@@ -825,47 +749,30 @@ class Session:
         ``None`` for oblivious threats.  The simulation is built over the
         *attacker's* model — the surrogate under surrogate knowledge; an
         attacker cannot simulate an inspector around weights it does not
-        hold.  The defender's remaining state is reconstructible: the
-        trusted snapshot is the pre-attack graph the attacker observes
-        anyway, and the prune budget equals the attack budget cap — the
-        attacker's own operating point.
+        hold.
         """
         if not threat.is_adaptive:
             return None
         from repro.api.registry import attacker_case
 
         attacker = attacker_case(case, threat, context=self)
-        runtime = {}
-        if threat.defense == "explainer":
-            runtime = {
-                "prune_k": cell.budget_cap,
-                "trusted_edges": case.graph.edge_set(),
-            }
         spec = DefenseSpec(threat.defense, threat.defense_params)
         return build_defense(
-            spec, attacker, config=self.config, context=self, **runtime
+            spec, attacker, config=self.config, context=self,
+            **_defense_runtime(threat.defense, case, cell),
         )
 
     def _score_defense(self, cell, defense_name, case, specs, results):
         """Score one defense over a cell's victims (evasion + detection).
 
-        The arena's explainer inspector is the paper's Section-3 threat
-        model: the defender holds a clean pre-attack snapshot (so only
-        *new* edges are prunable — the same knowledge detection@K
-        assumes), examines the explanation's top-L window only (the
-        declared ``inspection_window`` config param), and may prune as
-        many edges as the attacker's budget.  Evading it therefore means
-        keeping adversarial edges *below* the explanation window —
-        GEAttack's objective.
+        The explainer inspector examines the explanation's top-L window
+        only (the declared ``inspection_window`` config param), so evading
+        it means keeping adversarial edges *below* that window — GEAttack's
+        objective.  Its runtime wiring is :func:`_defense_runtime`'s.
         """
-        runtime = {}
-        if defense_name == "explainer":
-            runtime = {
-                "prune_k": cell.budget_cap,
-                "trusted_edges": case.graph.edge_set(),
-            }
         defense = build_defense(
-            defense_name, case, config=self.config, context=self, **runtime
+            defense_name, case, config=self.config, context=self,
+            **_defense_runtime(defense_name, case, cell),
         )
 
         def evaluate_one(item):

@@ -366,7 +366,8 @@ class ArenaExperiment:
     """An attack × defense scenario matrix against a result store.
 
     Multi-writer coordination uses two constants: a cell with missing
-    results executes under an advisory store lease, cells leased by
+    results executes under an advisory store lease
+    (:meth:`repro.arena.store.ResultStore.fill`), cells leased by
     another live run are deferred and re-polled every
     :data:`repro.api.session.POLL_INTERVAL` seconds, and a lease older
     than :data:`repro.arena.store.LEASE_TTL` (a dead writer) is stolen.

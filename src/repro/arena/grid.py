@@ -155,14 +155,15 @@ _NUMERIC_AXES = (("hidden_dims", 1), ("budget_caps", 1), ("seeds", 0))
 def validate_grid(grid):
     """Reject axis typos before any cell has trained or attacked.
 
-    Checks every registry name on the grid — datasets (case-insensitive,
-    as :func:`repro.datasets.load_dataset` resolves them), attacks,
+    Checks every registry name on the grid — datasets, attacks,
     defenses, architectures, adapted defenses and surrogate architectures
     — and raises :class:`KeyError` naming the first unknown one with its
-    options.  Then every ``hidden_dims``/``budget_caps``/``seeds`` entry
-    must be a plain ``int`` (not a ``bool`` or a string, which would hash
-    to a different store key or fail mid-run), widths and budgets at least
-    1 and seeds non-negative, and an adapted defense's params must be ones
+    options.  Names are case-sensitive, like the store keys they hash
+    into: ``"CORA"`` would load cora's graph under a different key.  Then
+    every ``hidden_dims``/``budget_caps``/``seeds`` entry must be a plain
+    ``int`` (not a ``bool`` or a string, which would hash to a different
+    store key or fail mid-run), widths and budgets at least 1 and seeds
+    non-negative, and an adapted defense's params must be ones
     it declares (:func:`repro.schema.spec_kwargs`); anything else raises
     :class:`ValueError`.
     ``Session`` lets both propagate, the job server answers 400 and the
@@ -174,7 +175,7 @@ def validate_grid(grid):
     from repro.nn import ARCHITECTURES
 
     for name in grid.datasets:
-        if not isinstance(name, str) or name.lower() not in DATASET_SPECS:
+        if not isinstance(name, str) or name not in DATASET_SPECS:
             raise KeyError(
                 f"unknown dataset {name!r}; options: {sorted(DATASET_SPECS)}"
             )

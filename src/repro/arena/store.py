@@ -24,6 +24,9 @@ metadata.
   that let N concurrent runs — processes or hosts on a shared
   filesystem — split one grid and execute each unique cell exactly once.
 
+:meth:`ResultStore.fill` is the one lease protocol: read, lease, re-check,
+compute, bulk-write, read back.
+
 Writes are atomic (temp file + ``os.replace``), so a killed run leaves
 either a complete record or nothing — never a torn file — which is what
 makes ``--resume`` after a mid-sweep kill safe without any journal.  On
@@ -51,6 +54,7 @@ from pathlib import Path
 
 from repro.arena.grid import canonical_json
 from repro.obs import metrics
+from repro.obs.tracer import get_tracer
 
 __all__ = ["LEASE_TTL", "Lease", "ResultStore"]
 
@@ -79,11 +83,9 @@ class Lease:
     writer that ignores it.  A lease left behind by a killed process
     expires after its TTL and is stolen by the next claimant.
 
-    A *live* holder whose work outlasts the TTL renews: :meth:`renew`
-    re-stamps the lease file's acquisition time, and :meth:`keep_alive`
-    wraps a block in a background heartbeat doing so every ``ttl / 3``
-    seconds — a slow attack can then never be "stolen" mid-execution and
-    double-executed by a concurrent run.
+    A *live* holder whose work outlasts the TTL heartbeats it
+    (:meth:`keep_alive`), so slow work is never stolen mid-run and
+    computed twice by a concurrent run.
     """
 
     path: Path
@@ -141,8 +143,7 @@ class Lease:
 
         A daemon thread calls :meth:`renew` every ``ttl / 3`` seconds
         until the block exits; the thread stops beating on its own once
-        the lease is stolen (nothing left to extend).  The caller still
-        releases the lease itself.
+        the lease is stolen (nothing left to extend).
         """
         period = max(0.05, self.ttl / 3.0)
         stop = threading.Event()
@@ -514,6 +515,48 @@ class ResultStore:
                 except OSError:
                     pass
 
+    # -- compute-once fill ---------------------------------------------------
+    def fill(self, name, keys, compute):
+        """Every key's stored payload, computing the missing ones once.
+
+        Missing keys are re-checked under lease ``name`` (its previous
+        holder may have committed them); ``compute(missing)`` returns one
+        payload per key, in order, and they are written in one
+        :meth:`bulk` batch.  Returns ``(payloads, written)``: ``written``
+        is the keys this call computed — or ``None``, with the missing
+        keys mapped to ``None``, while another live writer holds the lease.
+        """
+        tracer = get_tracer()
+        with tracer.span("store-read", records=len(keys)):
+            payloads = {key: self.get(key) for key in keys}
+        missing = [key for key in keys if payloads[key] is None]
+        if not missing:
+            return payloads, frozenset()
+        lease = self.try_lease(name)
+        if lease is None:
+            return payloads, None
+        try:
+            written = [key for key in missing if self.get(key) is None]
+            if written:
+                with lease.keep_alive():
+                    results = compute(written)
+                    with tracer.span("store-write", records=len(written)):
+                        with self.bulk():
+                            for key, payload in zip(
+                                written, results, strict=True
+                            ):
+                                self.put(key, payload)
+        finally:
+            lease.release()
+        for key in missing:
+            payloads[key] = self.get(key)
+            if payloads[key] is None:
+                raise RuntimeError(
+                    f"arena store record {key[:12]}… vanished mid-run "
+                    "(concurrent clear, or repeated corruption?)"
+                )
+        return payloads, frozenset(written)
+
     # -- leases --------------------------------------------------------------
     def try_lease(self, name, ttl=None):
         """Claim the advisory lease ``name``, or return ``None`` if held.
@@ -524,9 +567,8 @@ class ResultStore:
         there is never a visible-but-empty lease).  A lease whose age
         exceeds its recorded TTL is *stolen*: exactly one claimant's
         rename-away of the stale file succeeds, and that claimant then
-        re-competes for a fresh acquisition.  Callers must release
-        (``lease.release()``) when done; a killed holder's lease simply
-        expires.
+        re-competes for a fresh acquisition.  :meth:`fill` releases it
+        when done; a killed holder's lease simply expires.
         """
         ttl = float(LEASE_TTL if ttl is None else ttl)
         lease_dir = self.root / self.LEASE_DIR

@@ -23,15 +23,17 @@ Endpoint reference
     strings like ``"surrogate+adaptive:jaccard"`` or ``ThreatModel``
     dicts) — or
     ``{"scenario": {<a canonical cell_config dict>}, "defenses": [...]}``
-    for one cell.  Optional: ``fresh`` (clear the store first); lease
-    timing is fixed server-side (``repro.arena.store.LEASE_TTL``,
+    for one cell.  Optional: ``fresh`` (a JSON boolean: clear the store
+    first); no other body key is accepted.  Lease timing is fixed
+    server-side (``repro.arena.store.LEASE_TTL``,
     ``repro.api.session.POLL_INTERVAL``).  Returns 202
     ``{"job", "state", "cells"}``; 400 on unknown axes, datasets,
     attacks, defenses, archs or threats, on adapted-defense params the
     defense does not declare, on non-integer or out-of-range
     ``hidden_dims``/``budget_caps``/``seeds`` entries, on a scenario
     that is malformed or hashes differently under the server's config,
-    on a ``defenses`` that is not a non-empty list, or on a malformed
+    on a ``defenses`` that is not a non-empty list or comes with a grid,
+    on a non-boolean ``fresh``, on any other body key, or on a malformed
     body or ``Content-Length``; 503 once shutdown has begun.
 ``GET /jobs/<id>``
     Status snapshot: state (``queued``/``running``/``done``/``failed``),

@@ -89,16 +89,16 @@ class ServiceClient:
 
         ``grid`` may be a :class:`~repro.arena.grid.ScenarioGrid` or an
         axis dict; ``scenario`` is a canonical ``cell_config`` dict
-        (optionally with evaluation ``defenses``).  ``fresh`` clears the
-        store before the run.
+        (optionally with evaluation ``defenses``, which the server rejects
+        next to a grid).  ``fresh`` clears the store before the run.
         """
         payload = {}
         if grid is not None:
             payload["grid"] = grid if isinstance(grid, dict) else grid_payload(grid)
         if scenario is not None:
             payload["scenario"] = scenario
-            if defenses is not None:
-                payload["defenses"] = list(defenses)
+        if defenses is not None:
+            payload["defenses"] = list(defenses)
         if fresh:
             payload["fresh"] = True
         return self._request("/jobs", payload)["job"]

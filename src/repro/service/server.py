@@ -64,6 +64,14 @@ def _grid_from_payload(payload, config):
 
     if "grid" in payload and "scenario" in payload:
         raise _BadRequest('submit either "grid" or "scenario", not both')
+    if "grid" not in payload and "scenario" not in payload:
+        raise _BadRequest('request body must contain "grid" or "scenario"')
+    allowed = ["fresh", "grid"]
+    if "scenario" in payload:
+        allowed = ["defenses", "fresh", "scenario"]
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise _BadRequest(f"unknown body keys {unknown}; allowed: {allowed}")
     if "grid" in payload:
         axes = payload["grid"]
         if not isinstance(axes, dict):
@@ -89,32 +97,30 @@ def _grid_from_payload(payload, config):
             return ScenarioGrid(**kwargs)
         except (TypeError, ValueError) as error:
             raise _BadRequest(f"invalid grid: {error}") from error
-    if "scenario" in payload:
-        scenario = payload["scenario"]
-        try:
-            cell = cell_from_config(scenario)
-            canonical = cell_config(cell, config)
-        except (KeyError, TypeError, ValueError) as error:
-            raise _BadRequest(f"invalid scenario: {error.args[0]}") from error
-        if content_key(canonical) != content_key(scenario):
-            raise _BadRequest(
-                "scenario does not match this server's experiment config; "
-                "fetch the canonical dict from a cell this server executed "
-                "or submit a grid instead"
-            )
-        defenses = payload.get("defenses", ["none"])
-        _require_list('"defenses"', defenses)
-        return ScenarioGrid(
-            datasets=(cell.dataset,),
-            hidden_dims=(cell.hidden,),
-            attacks=(cell.attack,),
-            defenses=tuple(defenses),
-            budget_caps=(cell.budget_cap,),
-            seeds=(cell.seed,),
-            threats=(cell.threat,),
-            archs=(cell.arch,),
+    scenario = payload["scenario"]
+    try:
+        cell = cell_from_config(scenario)
+        canonical = cell_config(cell, config)
+    except (KeyError, TypeError, ValueError) as error:
+        raise _BadRequest(f"invalid scenario: {error.args[0]}") from error
+    if content_key(canonical) != content_key(scenario):
+        raise _BadRequest(
+            "scenario does not match this server's experiment config; "
+            "fetch the canonical dict from a cell this server executed "
+            "or submit a grid instead"
         )
-    raise _BadRequest('request body must contain "grid" or "scenario"')
+    defenses = payload.get("defenses", ["none"])
+    _require_list('"defenses"', defenses)
+    return ScenarioGrid(
+        datasets=(cell.dataset,),
+        hidden_dims=(cell.hidden,),
+        attacks=(cell.attack,),
+        defenses=tuple(defenses),
+        budget_caps=(cell.budget_cap,),
+        seeds=(cell.seed,),
+        threats=(cell.threat,),
+        archs=(cell.arch,),
+    )
 
 
 def _require_list(what, values):
@@ -201,11 +207,11 @@ class ArenaService:
             validate_grid(grid)
         except (KeyError, ValueError) as error:
             raise _BadRequest(error.args[0]) from error
-        options = {}
-        if payload.get("fresh"):
-            options["fresh"] = True
+        fresh = payload.get("fresh", False)
+        if not isinstance(fresh, bool):
+            raise _BadRequest('"fresh" must be a JSON boolean')
         try:
-            job = self.queue.submit(grid, **options)
+            job = self.queue.submit(grid, fresh=fresh)
         except RuntimeError as error:
             raise _Unavailable(str(error)) from error
         return {"job": job.id, "state": job.state, "cells": grid.num_cells}

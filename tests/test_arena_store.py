@@ -16,6 +16,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.arena import (
     ResultStore,
@@ -29,6 +30,7 @@ from repro.arena import (
 from repro.attacks import AttackResult, VictimSpec
 from repro.experiments import SCALE_PRESETS
 from repro.graph import Graph
+from repro.obs import metrics
 
 
 def random_attack_result(rng, with_history=False):
@@ -221,6 +223,99 @@ class TestResultStore:
         store = ResultStore(tmp_path / "never-created")
         assert len(store) == 0
         assert store.keys() == []
+
+
+class TestFill:
+    """``ResultStore.fill``: read, lease, re-check, compute, write, read back."""
+
+    KEYS = [content_key({"fill": i}) for i in range(3)]
+
+    @staticmethod
+    def compute_recording(calls):
+        def compute(missing):
+            calls.append(list(missing))
+            return [{"computed": key} for key in missing]
+
+        return compute
+
+    def test_all_cached_computes_nothing_and_takes_no_lease(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for key in self.KEYS:
+            store.put(key, {"cached": key})
+        calls = []
+        before = metrics.snapshot()
+        payloads, written = store.fill(
+            "cell", self.KEYS, self.compute_recording(calls)
+        )
+        assert calls == []
+        assert written == frozenset()
+        assert payloads == {key: {"cached": key} for key in self.KEYS}
+        assert "lease.acquired" not in metrics.delta_since(before)
+
+    def test_foreign_lease_defers_without_computing(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(self.KEYS[0], {"cached": 0})
+        holder = ResultStore(tmp_path / "store").try_lease("cell", ttl=60)
+        calls = []
+        payloads, written = store.fill(
+            "cell", self.KEYS, self.compute_recording(calls)
+        )
+        holder.release()
+        assert written is None
+        assert calls == []
+        assert payloads == {
+            self.KEYS[0]: {"cached": 0}, self.KEYS[1]: None, self.KEYS[2]: None
+        }
+        assert len(store) == 1
+
+    def test_key_committed_before_the_lease_is_not_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path / "store")
+        other = ResultStore(tmp_path / "store")
+        real_try_lease = store.try_lease
+
+        def racing_try_lease(name, ttl=None):
+            # The previous holder commits between our read and our lease.
+            other.put(self.KEYS[0], {"by": "other"})
+            return real_try_lease(name, ttl)
+
+        monkeypatch.setattr(store, "try_lease", racing_try_lease)
+        calls = []
+        payloads, written = store.fill(
+            "cell", self.KEYS, self.compute_recording(calls)
+        )
+        assert calls == [self.KEYS[1:]]
+        assert written == frozenset(self.KEYS[1:])
+        assert payloads[self.KEYS[0]] == {"by": "other"}
+
+    def test_failing_compute_releases_the_lease_and_writes_nothing(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+
+        def compute(missing):
+            raise ValueError("attack failed")
+
+        with pytest.raises(ValueError, match="attack failed"):
+            store.fill("cell", self.KEYS, compute)
+        lease = ResultStore(tmp_path / "store").try_lease("cell", ttl=60)
+        assert lease is not None
+        lease.release()
+        assert len(store) == 0
+        assert all(store.get(key) is None for key in self.KEYS)
+
+    def test_payloads_are_what_the_store_holds(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(self.KEYS[1], {"cached": 1})
+        calls = []
+        payloads, written = store.fill(
+            "cell", self.KEYS, self.compute_recording(calls)
+        )
+        assert calls == [[self.KEYS[0], self.KEYS[2]]]
+        assert written == frozenset([self.KEYS[0], self.KEYS[2]])
+        fresh = ResultStore(tmp_path / "store")
+        assert payloads == {key: fresh.get(key) for key in self.KEYS}
 
 
 class TestManifest:

@@ -114,13 +114,13 @@ class TestSlowCellExecutesOnce:
         cases = {}
         Session(config=CONFIG, cases=cases).prepared("cora")  # pre-train
 
-        original = Session._execute_missing
+        original = Session._execute
 
-        def slow_execute(self, run, store, cell, case, cfg, missing):
+        def slow_execute(self, cell, case, cfg, specs):
             time.sleep(1.0)  # > 3 full TTLs under the lease
-            return original(self, run, store, cell, case, cfg, missing)
+            return original(self, cell, case, cfg, specs)
 
-        monkeypatch.setattr(Session, "_execute_missing", slow_execute)
+        monkeypatch.setattr(Session, "_execute", slow_execute)
         monkeypatch.setattr(store_module, "LEASE_TTL", 0.3)
         monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
 
@@ -130,7 +130,7 @@ class TestSlowCellExecutesOnce:
 
         def contend(slot):
             # The forked child inherits the pre-trained cases and the
-            # slowed-down ``_execute_missing``.
+            # slowed-down ``_execute``.
             session = Session(config=CONFIG, cases=cases)
             run = session.arena(GRID, ResultStore(store_root))
             outcomes.put((slot, run))
@@ -151,7 +151,7 @@ class TestSlowCellExecutesOnce:
         assert total_loaded == 3  # the loser served entirely from the store
         assert runs[0].deferred + runs[1].deferred >= 1
 
-        monkeypatch.setattr(Session, "_execute_missing", original)
+        monkeypatch.setattr(Session, "_execute", original)
         warm = Session(config=CONFIG, cases=cases).arena(
             GRID, ResultStore(store_root)
         )

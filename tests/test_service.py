@@ -223,6 +223,7 @@ class TestEndpoints:
         "axes, fragment",
         [
             ({"datasets": ["bogus"]}, "unknown dataset 'bogus'"),
+            ({"datasets": ["CORA"]}, "unknown dataset 'CORA'"),
             ({"budget_caps": ["3"]}, "budget_caps entries must be integers"),
             ({"hidden_dims": [0]}, "hidden_dims entries must be >= 1"),
             ({"seeds": [1.5]}, "seeds entries must be integers"),
@@ -243,6 +244,33 @@ class TestEndpoints:
             client.submit(grid=axes)
         assert err.value.status == 400
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [
+            ({"fresh": "false"}, '"fresh" must be a JSON boolean'),
+            ({"fresh": 1}, '"fresh" must be a JSON boolean'),
+            ({"fressh": True}, "unknown body keys ['fressh']"),
+            ({"defenses": ["none"]}, "allowed: ['fresh', 'grid']"),
+        ],
+        ids=["fresh-string", "fresh-int", "typo", "defenses-with-grid"],
+    )
+    def test_malformed_grid_body_is_400(self, service, extra, fragment):
+        """A body key the server would ignore or misread is a 400."""
+        body = {"grid": {"attacks": ["DICE"]}, **extra}
+        with pytest.raises(ServiceError) as err:
+            ServiceClient(service.url)._request("/jobs", body)
+        assert err.value.status == 400
+        assert fragment in str(err.value)
+
+    def test_client_forwards_defenses_next_to_a_grid(self, service):
+        """``defenses`` belong in the grid; the client must not drop them."""
+        with pytest.raises(ServiceError) as err:
+            ServiceClient(service.url).submit(
+                grid={"attacks": ["DICE"]}, defenses=["explainer"]
+            )
+        assert err.value.status == 400
+        assert "unknown body keys ['defenses']" in str(err.value)
 
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service.url)
@@ -312,8 +340,16 @@ class TestScenarioSubmission:
             ({"scenario": "x"}, "invalid scenario"),
             ({"defenses": 5}, '"defenses" must be a non-empty list'),
             ({"defenses": "jaccard"}, '"defenses" must be a non-empty list'),
+            ({"fresh": "false"}, '"fresh" must be a JSON boolean'),
+            (
+                {"fressh": True},
+                "allowed: ['defenses', 'fresh', 'scenario']",
+            ),
         ],
-        ids=["list", "string", "defenses-int", "defenses-string"],
+        ids=[
+            "list", "string", "defenses-int", "defenses-string",
+            "fresh-string", "typo",
+        ],
     )
     def test_malformed_scenario_body_is_400(self, service, body, fragment):
         body = {"scenario": cell_config(_dice_cell(), CONFIG), **body}

@@ -411,6 +411,7 @@ class TestValidateGrid:
     @pytest.mark.parametrize(
         "axes, fragment",
         [
+            ({"datasets": ("CORA",)}, "unknown dataset 'CORA'"),
             ({"attacks": ("FGA-T", "FGA-X")}, "unknown attack 'FGA-X'"),
             ({"defenses": ("none", "bogus")}, "unknown defense 'bogus'"),
             ({"archs": ("gcn", "mlp")}, "unknown architecture 'mlp'"),
