@@ -99,7 +99,10 @@ def main():
     print("\n== cells + healthz ==")
     store_root = args.store if args.url is None else None
     if store_root is not None:
-        key = ResultStore(store_root).keys()[0]
+        # The store holds attack records and the defenses' verdicts on
+        # them; only attack records carry a result.
+        store = ResultStore(store_root)
+        key = next(key for key in store.keys() if "result" in store.get(key))
         record = client.cell(key)
         print(
             f"GET /cells/{key[:12]}…  schema={record['schema']} "

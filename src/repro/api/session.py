@@ -30,8 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from repro.api.events import (
     CasePrepared,
     CellDeferred,
@@ -61,7 +59,9 @@ from repro.arena.grid import (
     SCHEMA_VERSION,
     cell_config,
     content_key,
+    defense_point,
     validate_grid,
+    verdict_key,
     victim_dict,
     victim_key,
 )
@@ -87,7 +87,6 @@ from repro.experiments.table_runner import METHOD_ORDER, ComparisonResult
 from repro.metrics import (
     attack_success_rate,
     attack_success_rate_targeted,
-    binary_auc,
     detection_report,
 )
 from repro.obs import metrics
@@ -484,8 +483,11 @@ class Session:
     def arena(self, grid, store, progress=None, fresh=False):
         """Attack × defense matrix against a result store; returns ArenaRun.
 
-        ``progress`` (``callable(str)``) receives the historical one line
-        per execution cell.  Concurrent runs on one store coordinate
+        Attack results and each defense's verdicts on them are read from
+        ``store`` when present and computed (then stored) otherwise, so a
+        warm run attacks nothing and scores no defense.  ``progress``
+        (``callable(str)``) receives the historical one line per
+        execution cell.  Concurrent runs on one store coordinate
         through :meth:`ResultStore.fill`'s leases (see
         :class:`ArenaExperiment`).
         """
@@ -668,6 +670,13 @@ class Session:
         when another run holds the cell's lease.  ``CellDeferred`` and the
         deferral counters fire only on the ``first`` attempt (re-polls are
         silent until the cell completes).
+
+        One :meth:`ResultStore.fill` under the cell's lease covers its
+        attack records and its verdict records (one per victim × defense,
+        :func:`~repro.arena.grid.verdict_key`): the missing attacks execute
+        first, then each defense scores only its missing verdicts.  A warm
+        cell therefore attacks, rebuilds and scores nothing.  ``cached``,
+        ``executed`` and ``CellDeferred.missing`` count attack records.
         """
         case, victims = self.prepared(
             cell.dataset, seed=cell.seed, hidden=cell.hidden, arch=cell.arch
@@ -679,23 +688,54 @@ class Session:
         ]
         cfg = cell_config(cell, self.config)
         keys = [victim_key(cfg, spec) for spec in specs]
-        spec_of = dict(zip(keys, specs))
+        verdicts = {}
+        for name in grid.defenses:
+            point = defense_point(name, self.config)
+            verdicts[name] = [verdict_key(key, point) for key in keys]
+
+        def compute(missing):
+            fresh, todo = {}, set(missing)
+            attacked = [i for i, key in enumerate(keys) if key in todo]
+            if attacked:
+                fresh.update(zip(
+                    (keys[i] for i in attacked),
+                    self._execute(cell, case, cfg, [specs[i] for i in attacked]),
+                ))
+            for name, names_keys in verdicts.items():
+                wanted = [i for i, key in enumerate(names_keys) if key in todo]
+                if not wanted:
+                    continue
+                # Score through the store's format: rebuild each perturbed
+                # graph from its record, fresh or stored alike.
+                results = [
+                    AttackResult.from_dict(
+                        (fresh.get(keys[i]) or store.get(keys[i]))["result"],
+                        graph=case.graph,
+                    )
+                    for i in wanted
+                ]
+                with get_tracer().span("defense", defense=name):
+                    rows = self._score_defense(
+                        cell, name, case, [specs[i] for i in wanted], results
+                    )
+                fresh.update(zip((names_keys[i] for i in wanted), rows))
+            return [fresh[key] for key in missing]
+
         payloads, written = store.fill(
             content_key(cfg),
-            keys,
-            lambda missing: self._execute(
-                cell, case, cfg, [spec_of[key] for key in missing]
-            ),
+            keys + [key for names_keys in verdicts.values() for key in names_keys],
+            compute,
         )
         if written is None:
             span.set(deferred=True)
             if first:
                 run.deferred += 1
                 metrics.incr("arena.cells_deferred")
-                missing = list(payloads.values()).count(None)
+                missing = sum(payloads[key] is None for key in keys)
                 yield CellDeferred(cell=cell, missing=missing, span=span.id)
             return None
-        cached, executed = len(specs) - len(written), len(written)
+        executed = sum(key in written for key in keys)
+        cached = len(keys) - executed
         span.set(cached=cached, executed=executed)
         run.loaded += cached
         run.executed += executed
@@ -706,17 +746,19 @@ class Session:
         yield CellExecuted(
             cell=cell, cached=cached, executed=executed, span=span.id
         )
-        # Always evaluate through the store: serialize → deserialize →
-        # rebuild, so warm and cold runs see bit-identical inputs.
-        results = [
-            AttackResult.from_dict(payloads[key]["result"], graph=case.graph)
+        # Always aggregate the read-back verdicts, so warm and cold runs
+        # see bit-identical floats.
+        misclassified = [
+            AttackResult.from_dict(payloads[key]["result"]).misclassified
             for key in keys
         ]
-        for defense_name in grid.defenses:
-            with get_tracer().span("defense", defense=defense_name):
-                evaluation = self._score_defense(
-                    cell, defense_name, case, specs, results
-                )
+        for name in grid.defenses:
+            evaluation = CellEvaluation.from_verdicts(
+                cell,
+                name,
+                [payloads[key] for key in verdicts[name]],
+                misclassified,
+            )
             run.evaluations.append(evaluation)
             yield CellScored(evaluation, span=span.id)
         return cached, executed
@@ -763,7 +805,7 @@ class Session:
         )
 
     def _score_defense(self, cell, defense_name, case, specs, results):
-        """Score one defense over a cell's victims (evasion + detection).
+        """One defense's verdict record per victim (evasion + flags).
 
         The explainer inspector examines the explanation's top-L window
         only (the declared ``inspection_window`` config param), so evading
@@ -775,40 +817,20 @@ class Session:
             **_defense_runtime(defense_name, case, cell),
         )
 
-        def evaluate_one(item):
+        def verdict(item):
             spec, result = item
             defended = defense.predict(result.perturbed_graph, spec.node)
-            return (
-                bool(defended != result.original_prediction),
-                float(defense.flag(result.perturbed_graph, spec.node)),
-                float(defense.flag(case.graph, spec.node)),
-                bool(result.misclassified),
-            )
+            return {
+                "evaded": bool(defended != result.original_prediction),
+                "attacked_flag": float(
+                    defense.flag(result.perturbed_graph, spec.node)
+                ),
+                "clean_flag": float(defense.flag(case.graph, spec.node)),
+            }
 
-        rows = parallel_map(
-            evaluate_one,
+        return parallel_map(
+            verdict,
             list(zip(specs, results)),
             jobs=self.jobs,
             describe=lambda item: f"victim {item[0].node}",
-        )
-        evaded = [row[0] for row in rows]
-        attacked_flags = [row[1] for row in rows]
-        clean_flags = [row[2] for row in rows]
-        unflagged_hits = [
-            attacked_flag <= clean_flag
-            for _, attacked_flag, clean_flag, misclassified in rows
-            if misclassified
-        ]
-        return CellEvaluation(
-            cell=cell,
-            defense=defense_name,
-            victims=len(specs),
-            evasion_rate=float(np.mean(evaded)) if evaded else float("nan"),
-            inspection_evasion_rate=(
-                float(np.mean(unflagged_hits)) if unflagged_hits else float("nan")
-            ),
-            detection_auc=binary_auc(
-                attacked_flags + clean_flags,
-                [True] * len(attacked_flags) + [False] * len(clean_flags),
-            ),
         )

@@ -365,8 +365,11 @@ class SweepExperiment:
 class ArenaExperiment:
     """An attack × defense scenario matrix against a result store.
 
+    The store holds one attack record per (cell, victim) and one verdict
+    record per (attack record, defense); a cell computes only what is
+    missing, so a warm run executes no attack and scores no defense.
     Multi-writer coordination uses two constants: a cell with missing
-    results executes under an advisory store lease
+    records computes them under an advisory store lease
     (:meth:`repro.arena.store.ResultStore.fill`), cells leased by
     another live run are deferred and re-polled every
     :data:`repro.api.session.POLL_INTERVAL` seconds, and a lease older

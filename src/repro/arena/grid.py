@@ -18,6 +18,10 @@ when non-default — the historical keys must not move), and the victim
 itself.  Two configs that would produce different results can never
 collide on a key, and a key is reproducible across processes and dict
 orderings — the property that makes ``--resume`` sound.
+
+A defense's verdict on one stored result is keyed the same way
+(:func:`verdict_key`): the result's own key plus the defense's operating
+point, so a warm resume reads every verdict back and scores no defense.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ __all__ = [
     "content_key",
     "cell_config",
     "cell_from_config",
+    "defense_point",
     "validate_grid",
+    "verdict_key",
     "victim_dict",
     "victim_key",
 ]
@@ -45,6 +51,9 @@ __all__ = [
 #: Bump when the stored record layout or the key schema changes; old store
 #: entries then simply miss (never mis-hit).
 SCHEMA_VERSION = 1
+
+#: Tags every verdict key; bump when the verdict record layout changes.
+VERDICT_SCHEMA = "verdict-1"
 
 
 def canonical_json(payload):
@@ -328,3 +337,35 @@ def victim_dict(spec):
 def victim_key(cell_cfg, spec):
     """Content key of one (cell, victim) attack result."""
     return content_key({"cell": cell_cfg, "victim": victim_dict(spec)})
+
+
+def defense_point(name, config):
+    """Canonical dict of a defense's operating point under ``config``.
+
+    The defense's :class:`~repro.api.specs.DefenseSpec` dict (its declared
+    config-fed params) under ``"spec"``, plus the resolved GNNExplainer
+    ``epochs``/``lr`` under ``"explainer"`` for a defense that inspects
+    with one.  Its runtime wiring — the clean-graph snapshot and
+    ``prune_k`` — is pinned by the victim record's key (dataset and
+    budget cap).
+    """
+    from repro.api.registry import EXPLAINERS, defense_spec
+    from repro.defense import DEFENSES
+    from repro.schema import resolve_params
+
+    point = {"spec": defense_spec(name, config).to_dict()}
+    if DEFENSES[name].requires_explainer:
+        point["explainer"] = resolve_params(EXPLAINERS["gnn"].params, config)
+    return point
+
+
+def verdict_key(record_key, defense_point):
+    """Content key of one defense's verdict on one stored attack result.
+
+    ``record_key`` (a :func:`victim_key`) pins dataset, model, seed,
+    attack, threat, budget cap and the victim; ``defense_point`` is
+    :func:`defense_point`'s dict.
+    """
+    return content_key(
+        {"verdict": VERDICT_SCHEMA, "record": record_key, "defense": defense_point}
+    )

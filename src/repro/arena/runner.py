@@ -3,7 +3,8 @@
 The execution loop lives in the façade (:meth:`repro.api.Session.arena`,
 or :meth:`~repro.api.Session.run` with an
 :class:`~repro.api.specs.ArenaExperiment`): schedule cells, reuse stored
-results, evaluate every defense through the content-addressed store.
+results and verdicts, and aggregate every defense from the verdicts read
+back from the content-addressed store.
 This module keeps the arena's result dataclasses, including the
 ``executed 0 attacks`` warm-resume contract line (asserted by the resume
 tests, the benchmark and the CI smoke job on ``ArenaRun.stats_line``).
@@ -12,6 +13,10 @@ tests, the benchmark and the CI smoke job on ``ArenaRun.stats_line``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.metrics import binary_auc
 
 __all__ = ["CellEvaluation", "ArenaRun"]
 
@@ -34,6 +39,38 @@ class CellEvaluation:
     inspection_evasion_rate: float
     #: AUC of the defense's suspicion flags, attacked vs clean victims.
     detection_auc: float
+
+    @classmethod
+    def from_verdicts(cls, cell, defense, verdicts, misclassified):
+        """Aggregate a cell's verdict records for one defense.
+
+        ``verdicts`` holds one ``{"evaded", "attacked_flag", "clean_flag"}``
+        record per victim, and ``misclassified`` whether each victim's
+        attack changed its undefended prediction.
+        """
+        evaded = [verdict["evaded"] for verdict in verdicts]
+        attacked_flags = [verdict["attacked_flag"] for verdict in verdicts]
+        clean_flags = [verdict["clean_flag"] for verdict in verdicts]
+        unflagged_hits = [
+            attacked <= clean
+            for attacked, clean, hit in zip(
+                attacked_flags, clean_flags, misclassified
+            )
+            if hit
+        ]
+        return cls(
+            cell=cell,
+            defense=defense,
+            victims=len(verdicts),
+            evasion_rate=float(np.mean(evaded)) if evaded else float("nan"),
+            inspection_evasion_rate=(
+                float(np.mean(unflagged_hits)) if unflagged_hits else float("nan")
+            ),
+            detection_auc=binary_auc(
+                attacked_flags + clean_flags,
+                [True] * len(attacked_flags) + [False] * len(clean_flags),
+            ),
+        )
 
 
 @dataclass

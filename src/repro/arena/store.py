@@ -2,9 +2,10 @@
 
 One JSON file per result, at ``root/<key[:2]>/<key>.json`` (two-level
 fan-out keeps directories small on big sweeps).  Keys are the canonical
-content hashes of :func:`repro.arena.grid.victim_key`; payloads are
+content hashes of :func:`repro.arena.grid.victim_key` — payloads are
 :meth:`repro.attacks.AttackResult.to_dict` records wrapped with their cell
-metadata.
+metadata — and of :func:`repro.arena.grid.verdict_key`, whose payloads are
+one defense's verdict on one such record.
 
 **v2 layout** adds two coordination artifacts next to the shard tree:
 
@@ -42,6 +43,7 @@ import gzip
 import json
 import logging
 import os
+import re
 import socket
 import threading
 import time
@@ -66,6 +68,9 @@ LEASE_TTL = 900.0
 
 #: Manifest line tags: a committed record, and a dropped (quarantined) key.
 _PUT, _DROP = "v2", "v2-drop"
+
+#: A content key: the 64 lowercase hex digits of a SHA-256.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 #: Leading bytes of a gzip stream — how ``get`` recognizes a compressed
 #: record written by an earlier version (a JSON record can never begin
@@ -178,7 +183,16 @@ class ResultStore:
         self._pending_dirs = set()
 
     def path(self, key):
-        """Where a record with this content key lives."""
+        """Where a record with this content key lives.
+
+        Raises :class:`ValueError` unless ``key`` is a content key (64
+        lowercase hex characters), so no key can name a file outside the
+        shard tree.
+        """
+        if not isinstance(key, str) or not _KEY.fullmatch(key):
+            raise ValueError(
+                f"not a content key (64 lowercase hex characters): {key!r}"
+            )
         return self.root / key[:2] / f"{key}.json"
 
     # -- the manifest index --------------------------------------------------
@@ -308,10 +322,11 @@ class ResultStore:
         A torn, truncated or otherwise corrupt record is a cache miss,
         not an exception: the file is renamed to ``*.corrupt`` (kept for
         post-mortems), the key drops out of the index, and the caller
-        re-executes that victim.
+        re-executes that victim.  A key that is not a content key raises
+        :class:`ValueError` (see :meth:`path`).
         """
-        metrics.incr("store.reads")
         path = self.path(key)
+        metrics.incr("store.reads")
         try:
             data = path.read_bytes()
         except FileNotFoundError:

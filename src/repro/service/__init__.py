@@ -49,8 +49,11 @@ Endpoint reference
     :func:`repro.api.events.event_from_dict` — or use
     :meth:`ServiceClient.events`, which does.
 ``GET /cells/<key>``
-    The raw stored record for one content-addressed cell key, straight
-    from the store (no job required); 404 when absent.
+    The raw stored record for one content key, straight from the store
+    (no job required): an attack result (``schema``, ``cell``,
+    ``victim``, ``result``) or a defense's verdict on one
+    (``evaded``, ``attacked_flag``, ``clean_flag``).  404 when absent;
+    400 when the key is not 64 lowercase hex characters.
 ``GET /healthz``
     Liveness + introspection: pool width (``workers``), queue depth,
     per-state job counts, store record count, and the
@@ -88,6 +91,6 @@ def endpoint_lines():
         "POST /jobs            submit a grid or canonical scenario; 202 + job id",
         "GET  /jobs/<id>       status snapshot + final run manifest",
         "GET  /jobs/<id>/events  SSE stream of typed repro.api.events dicts",
-        "GET  /cells/<key>     cached store record for one cell key",
+        "GET  /cells/<key>     cached store record: attack result or verdict",
         "GET  /healthz         worker/queue/job/store + metrics counters",
     ]

@@ -10,7 +10,8 @@ surfaced by ``python -m repro describe``):
 * ``GET /jobs/<id>`` — status snapshot + final ``RunManifest`` dict.
 * ``GET /jobs/<id>/events`` — Server-Sent Events replay/stream of the
   run's typed :mod:`repro.api.events`, closing after ``RunCompleted``.
-* ``GET /cells/<key>`` — raw cached store record, at store-read speed.
+* ``GET /cells/<key>`` — raw cached store record (an attack result or a
+  defense verdict), at store-read speed; 400 for a malformed key.
 * ``GET /healthz`` — worker/queue/job/store counters.
 
 The server owns a :class:`~repro.service.jobs.JobQueue`; every job its
@@ -231,9 +232,13 @@ class ArenaService:
         }
 
     def cell_payload(self, key):
+        """The stored record under ``key``; 400 unless it is a content key."""
         from repro.arena.store import ResultStore
 
-        return ResultStore(self.store_root).get(key)
+        try:
+            return ResultStore(self.store_root).get(key)
+        except ValueError as error:
+            raise _BadRequest(error.args[0]) from error
 
 
 def _default_config():
@@ -324,7 +329,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, job.snapshot())
 
     def _cell(self, key):
-        payload = self.service.cell_payload(key)
+        try:
+            payload = self.service.cell_payload(key)
+        except _BadRequest as error:
+            self._error(400, str(error))
+            return
         if payload is None:
             self._error(404, f"no stored record for key {key!r}")
             return

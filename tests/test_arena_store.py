@@ -129,7 +129,25 @@ class TestAttackResultRoundTrip:
         assert AttackResult.from_dict(result.to_dict()).perturbed_graph is None
 
 
+#: Strings that are not content keys; ``"..x"`` would name ``<root>/../..x.json``.
+BAD_KEYS = ["..x", "A" * 64, "0" * 63, "0" * 65, "../" + "0" * 61, "g" * 64]
+
+
 class TestResultStore:
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    def test_non_content_key_is_rejected(self, tmp_path, key):
+        outside = tmp_path / "..x.json"
+        outside.write_bytes(b"not a record")
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="not a content key"):
+            store.path(key)
+        with pytest.raises(ValueError, match="not a content key"):
+            store.get(key)
+        with pytest.raises(ValueError, match="not a content key"):
+            store.put(key, {"v": 1})
+        assert outside.read_bytes() == b"not a record"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["..x.json"]
+
     def test_put_get_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         key = content_key({"probe": 1})

@@ -26,6 +26,7 @@ import threading
 import time
 import urllib.request
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,27 @@ class TestEndpoints:
 
     def test_unknown_cell_is_none(self, service):
         assert ServiceClient(service.url).cell("0" * 64) is None
+
+    @pytest.mark.parametrize(
+        "key", ["..x", "%2e%2e%2fx", "A" * 64, "0" * 63, "0" * 65]
+    )
+    def test_malformed_cell_key_is_400(self, service, key):
+        """A key that is not a content key never reaches the filesystem."""
+        outside = Path(service.store_root).parent / "..x.json"
+        outside.write_bytes(b"not a record")
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        try:
+            conn.request("GET", f"/cells/{key}")
+            response = conn.getresponse()
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "not a content key" in body["error"]
+        assert outside.read_bytes() == b"not a record"
+        assert not outside.with_name("..x.json.corrupt").exists()
 
     def test_healthz_reports_workers_jobs_and_store(self, service):
         client = ServiceClient(service.url)
@@ -393,11 +415,14 @@ class TestExactlyOnce:
             first = client.submit(grid=overlap)
             second = client.submit(grid=overlap)
             a, b = client.wait(first), client.wait(second)
-        # Unique work: 2 cells × 3 victims; every attack ran exactly once.
+        # Unique work: 2 cells × 3 victims; every attack ran exactly once,
+        # and each attack record carries one verdict per defense.
         assert a["executed"] + b["executed"] == 6
         assert a["executed"] + a["loaded"] == 6
         assert b["executed"] + b["loaded"] == 6
-        assert len(ResultStore(tmp_path / "store").keys()) == 6
+        assert len(ResultStore(tmp_path / "store").keys()) == 6 * (
+            1 + len(overlap.defenses)
+        )
 
     def test_per_job_manifests_are_exact(
         self, tmp_path, shared_cases, monkeypatch
@@ -425,7 +450,12 @@ class TestExactlyOnce:
             status["manifest"]["counters"].get("store.writes", 0)
             for status in statuses
         ]
-        assert writes == [status["executed"] for status in statuses]
+        # Every grid scores the same defenses, so each executed attack
+        # writes its record plus one verdict per defense.
+        assert writes == [
+            status["executed"] * (1 + len(overlap.defenses))
+            for status in statuses
+        ]
         assert sum(writes) == len(ResultStore(store_root).keys())
 
     def test_second_server_process_shares_the_store(
@@ -463,6 +493,14 @@ class TestExactlyOnce:
         assert [process.exitcode for process in servers] == [0, 0]
         assert a["executed"] + b["executed"] == 6
         assert a["loaded"] + b["loaded"] == 6
+        # Every attack record and every verdict was written exactly once.
+        writes = sum(
+            status["manifest"]["counters"].get("store.writes", 0)
+            for status in (a, b)
+        )
+        assert writes == len(ResultStore(store_root).keys()) == 6 * (
+            1 + len(GRID.defenses)
+        )
 
 
 class TestJobQueue:
@@ -582,15 +620,14 @@ class TestServeSubprocess:
             store = ResultStore(store_root)
             assert len(store.keys()) > 0
             # ...so a fresh in-process run over the store is fully warm.
-            warm = Session(config=SCALE_PRESETS["smoke"]).arena(
-                ScenarioGrid(
-                    attacks=("DICE",), defenses=("none",),
-                    budget_caps=(2,), seeds=(0,),
-                ),
-                store,
+            grid = ScenarioGrid(
+                attacks=("DICE",), defenses=("none",),
+                budget_caps=(2,), seeds=(0,),
             )
+            warm = Session(config=SCALE_PRESETS["smoke"]).arena(grid, store)
             assert warm.executed == 0
-            assert warm.loaded == len(store.keys())
+            # One attack record plus one verdict per defense per victim.
+            assert warm.loaded * (1 + len(grid.defenses)) == len(store.keys())
             assert "executed 0 attacks" in warm.stats_line()
         finally:
             if process.poll() is None:
