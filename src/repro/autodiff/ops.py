@@ -8,9 +8,15 @@ the inner explainer optimization (``create_graph=True``).
 Constants captured by VJP closures (index objects, boolean masks from the
 forward pass, shapes) are genuinely constant with respect to the inputs and
 therefore do not need to be differentiable.
+
+The ops whose VJP reads their own output (``exp``, ``sigmoid``, ``tanh``)
+hold it through a ``weakref``: a strong capture would make every tape
+reference-cyclic (see :mod:`repro.autodiff.tensor`).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -137,7 +143,9 @@ def exp(a):
     a = astensor(a)
     out = make_node(np.exp(a.data), (a,), (None,))
     # VJP refers to the output value itself: d exp(x) = exp(x) dx.
-    out._vjps = (lambda g: mul(g, out),) if out.requires_grad else ()
+    if out.requires_grad:
+        ref = weakref.ref(out)
+        out._vjps = (lambda g: mul(g, ref()),)
     return out
 
 
@@ -152,17 +160,21 @@ def absolute(a):
     return make_node(np.abs(a.data), (a,), (lambda g: mul(g, Tensor(sign)),))
 
 
+def logistic(x):
+    """Numerically stable logistic of an ndarray: :func:`sigmoid`'s forward."""
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))),
+    )
+
+
 def sigmoid(a):
     a = astensor(a)
-    # Numerically stable logistic.
-    data = np.where(
-        a.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(a.data, 0, None))),
-        np.exp(np.clip(a.data, None, 0)) / (1.0 + np.exp(np.clip(a.data, None, 0))),
-    )
-    out = make_node(data, (a,), (None,))
+    out = make_node(logistic(a.data), (a,), (None,))
     if out.requires_grad:
-        out._vjps = (lambda g: mul(g, mul(out, sub(1.0, out))),)
+        ref = weakref.ref(out)
+        out._vjps = (lambda g: mul(g, mul(ref(), sub(1.0, ref()))),)
     return out
 
 
@@ -170,7 +182,8 @@ def tanh(a):
     a = astensor(a)
     out = make_node(np.tanh(a.data), (a,), (None,))
     if out.requires_grad:
-        out._vjps = (lambda g: mul(g, sub(1.0, mul(out, out))),)
+        ref = weakref.ref(out)
+        out._vjps = (lambda g: mul(g, sub(1.0, mul(ref(), ref()))),)
     return out
 
 

@@ -20,6 +20,12 @@ Design notes
 * Gradient construction respects :class:`no_grad`; with
   ``create_graph=True`` the VJP closures execute with graph recording
   enabled and the returned gradients are differentiable.
+* Tapes are acyclic, so refcounting frees one as soon as its last output
+  is dropped, without waiting for the cyclic GC.  A VJP closure captures
+  its node's *parents*, never the node itself; the ops whose VJP reads
+  their own output (``exp``, ``sigmoid``, ``tanh``) reach it through a
+  ``weakref``.  The output is alive whenever such a VJP runs, because
+  :func:`grad` holds every node of the tape in its topological order.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ class Tensor:
         Whether gradients should be accumulated for this (leaf) tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_vjps")
+    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_vjps", "__weakref__")
 
     # Make numpy defer binary operations to Tensor.
     __array_priority__ = 1000

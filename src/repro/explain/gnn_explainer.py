@@ -10,6 +10,15 @@ The mask lives on the victim's 2-hop computation subgraph.  For a 2-layer
 GCN this is exact: adjacency entries outside the receptive field have zero
 influence on the explained prediction (and zero mask gradient), so omitting
 them changes nothing — and it keeps optimization cheap.
+
+Two implementations of one objective.  :func:`explainer_loss` builds an
+autodiff tape; GEAttack's and GEF-Attack's unrolled inner loops need it,
+because they differentiate through the mask updates (second order).
+:func:`explainer_loss_and_grad` is the first-order loss and mask gradient
+of a GCN victim on plain ndarrays, bit-identical to the tape's, and
+:meth:`GNNExplainer.explain_node` descends with it.  Other victims (SAGE,
+GIN, GAT) and ``explain_features=True`` keep the tape; each such call
+counts ``explain.tape_fallback``.
 """
 
 from __future__ import annotations
@@ -25,11 +34,14 @@ from repro.graph.utils import (
     k_hop_subgraph,
     normalize_adjacency_tensor,
 )
+from repro.nn.models import GCN
+from repro.obs import metrics
 
 __all__ = [
     "GNNExplainer",
     "MASK_INIT_SCALE",
     "explainer_loss",
+    "explainer_loss_and_grad",
     "symmetric_mask_probability",
 ]
 
@@ -66,9 +78,10 @@ def explainer_loss(
     is the constant masked-degree correction of a subgraph-locality view
     (see :mod:`repro.attacks.locality`).
 
-    This function is shared verbatim by :class:`GNNExplainer` and by
-    GEAttack's inner loop, which guarantees the attack is simulating exactly
-    the inspection it is trying to evade.
+    GEAttack's inner loop and :class:`GNNExplainer`'s tape path share this
+    function verbatim, and :func:`explainer_loss_and_grad` reproduces its
+    mask gradient bit for bit, so the attack simulates exactly the
+    inspection it is trying to evade.
     """
     probability = symmetric_mask_probability(mask)
     masked = adjacency * probability
@@ -96,6 +109,133 @@ def explainer_loss(
         )
         loss = loss + entropy_coefficient * ops.mean(bernoulli_entropy)
     return loss
+
+
+def explainer_loss_and_grad(
+    model,
+    adjacency,
+    features,
+    node_index,
+    label,
+    size_coefficient=0.0,
+    entropy_coefficient=0.0,
+):
+    """Tape-free :func:`explainer_loss` and its mask gradient, for a GCN.
+
+    Returns ``loss_and_grad(mask) -> (loss, gradient)`` on plain ndarrays:
+    :func:`explainer_loss` for ``type(model) is GCN`` with no feature mask
+    or degree offset, and ``grad(loss, mask)``, both bit-identical to the
+    tape's.  ``adjacency`` and ``features`` are the computation subgraph's
+    dense arrays, and ``model`` is in eval mode (no dropout).
+
+    Each epoch issues the numpy calls the tape issues, on the same shapes
+    and in the same order: the forward ops, then each VJP.  A gradient
+    with three or more contributions is summed in the tape's accumulation
+    order (reverse topological, left to right); floating-point addition is
+    not associative, so another order can miss by an ulp.  What nothing
+    reads is skipped: the weight and bias gradients, a Tensor and closure
+    per op, the topological sort.  What no epoch changes is computed once,
+    here: ``X @ W1``, the self-loop identity, and the gradients that the
+    cross-entropy, size and entropy terms send back before they meet the
+    mask.
+    """
+    if model.training:
+        raise ValueError("explainer_loss_and_grad needs the model in eval mode")
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    node_index, label = int(node_index), int(label)
+    eye = np.eye(n)
+    conv1, conv2 = model.conv1, model.conv2
+    support1 = np.asarray(features, dtype=np.float64) @ conv1.weight.data
+    weight2 = conv2.weight.data
+    num_classes = weight2.shape[1]
+    low, high = 1e-6, 1.0 - 1e-6
+    size_coefficient = float(size_coefficient)
+    entropy_coefficient = float(entropy_coefficient)
+    # d loss / d log_softmax is -1 at the label (so 1 for the normalizer).
+    log_probs_grad = np.zeros((1, num_classes))
+    log_probs_grad[0, label] = -1.0
+    # d loss / d P through the size term; d loss / d each entropy product.
+    size_grad = size_coefficient * adjacency
+    entropy_grad = np.full((n, n), -(entropy_coefficient / float(n * n)))
+
+    def loss_and_grad(mask):
+        # -- forward: explainer_loss's ops, in order -----------------------
+        half = (mask + np.transpose(mask)) * 0.5
+        probability = ops.logistic(half)
+        adjacency_loops = adjacency * probability + eye
+        degrees = adjacency_loops.sum(axis=(1,))
+        inv_sqrt = degrees**-0.5
+        row = inv_sqrt.reshape((n, 1))
+        col = inv_sqrt.reshape((1, n))
+        scaled_rows = adjacency_loops * row
+        normalized = scaled_rows * col
+        out1 = normalized @ support1 + conv1.bias.data
+        active = (out1 > 0).astype(np.float64)
+        support2 = (out1 * active) @ weight2
+        logits = normalized @ support2 + conv2.bias.data
+        picked = logits[node_index].reshape((1, num_classes))
+        centered = picked - picked.max(axis=-1, keepdims=True)
+        exps = np.exp(centered)
+        exp_sum = exps.sum(axis=(1,), keepdims=True)
+        log_probs = centered - np.log(exp_sum)
+        loss = -log_probs[0, label]
+        if size_coefficient:
+            loss = loss + size_coefficient * (adjacency * probability).sum(
+                axis=(0, 1)
+            )
+        if entropy_coefficient:
+            inside = ((probability >= low) & (probability <= high)).astype(
+                np.float64
+            )
+            p = np.clip(probability, low, high)
+            log_p = np.log(p)
+            complement = 1.0 - p
+            log_complement = np.log(complement)
+            entropy = -(p * log_p + complement * log_complement)
+            loss = loss + entropy_coefficient * (
+                entropy.sum(axis=(0, 1)) / float(n * n)
+            )
+
+        # -- backward: each VJP, contributions in the tape's order ---------
+        centered_grad = log_probs_grad + (1.0 / exp_sum) * exps
+        logits_grad = np.zeros((n, num_classes))
+        np.add.at(logits_grad, node_index, centered_grad.reshape((num_classes,)))
+        out1_grad = (
+            (np.transpose(normalized) @ logits_grad) @ np.transpose(weight2)
+        ) * active
+        normalized_grad = logits_grad @ np.transpose(
+            support2
+        ) + out1_grad @ np.transpose(support1)
+        scaled_rows_grad = normalized_grad * col
+        col_grad = (normalized_grad * scaled_rows).sum(axis=(0,), keepdims=True)
+        row_grad = (scaled_rows_grad * adjacency_loops).sum(
+            axis=(1,), keepdims=True
+        )
+        inv_sqrt_grad = row_grad.reshape((n,)) + col_grad.reshape((n,))
+        degrees_grad = inv_sqrt_grad * (np.float64(-0.5) * degrees**-1.5)
+        adjacency_loops_grad = scaled_rows_grad * row + np.broadcast_to(
+            degrees_grad.reshape((n, 1)), (n, n)
+        )
+        # P feeds the masked adjacency, then the size term, then the clip.
+        probability_grad = adjacency_loops_grad * adjacency
+        if size_coefficient:
+            probability_grad = probability_grad + size_grad
+        if entropy_coefficient:
+            # p feeds p·log p, log p, then ``1.0 - p`` twice: the tape
+            # builds that node once for the product and once for the log.
+            p_grad = (
+                entropy_grad * log_p
+                + (entropy_grad * p) / p
+                + -(entropy_grad * log_complement)
+                + -((entropy_grad * complement) / complement)
+            )
+            probability_grad = probability_grad + p_grad * inside
+        half_grad = probability_grad * (probability * (1.0 - probability))
+        sum_grad = half_grad * 0.5
+        return loss, sum_grad + np.transpose(sum_grad)
+
+    return loss_and_grad
 
 
 class GNNExplainer(BaseExplainer):
@@ -140,6 +280,11 @@ class GNNExplainer(BaseExplainer):
 
         ``label`` defaults to the model's own prediction on ``graph``
         (explaining the prediction actually made, as in the paper).
+
+        A GCN victim without a feature mask descends on
+        :func:`explainer_loss_and_grad`, with no tape; every other case
+        runs :func:`explainer_loss` through :func:`grad` and counts
+        ``explain.tape_fallback``.  Both give the same mask, bit for bit.
         """
         model = self.model
         model.eval()
@@ -153,52 +298,61 @@ class GNNExplainer(BaseExplainer):
             label = int(np.argmax(logits.data[int(node)]))
 
         subgraph, nodes, local = k_hop_subgraph(graph, int(node), self.hops)
-        adjacency = Tensor(subgraph.dense_adjacency())
-        features = Tensor(subgraph.features)
-
+        adjacency = subgraph.dense_adjacency()
         rng = np.random.default_rng(self.seed)
-        mask = Tensor(
-            rng.normal(
-                0.0,
-                MASK_INIT_SCALE,
-                size=(subgraph.num_nodes, subgraph.num_nodes),
-            ),
-            requires_grad=True,
+        mask = rng.normal(
+            0.0, MASK_INIT_SCALE, size=(subgraph.num_nodes, subgraph.num_nodes)
         )
-        feature_mask = (
-            Tensor(
-                rng.normal(
-                    0.0, MASK_INIT_SCALE, size=(subgraph.num_features,)
-                ),
-                requires_grad=True,
-            )
-            if self.explain_features
-            else None
-        )
-        for _ in range(self.epochs):
-            loss = explainer_loss(
+        feature_mask = None
+        if type(model) is GCN and not self.explain_features:
+            loss_and_grad = explainer_loss_and_grad(
                 model,
                 adjacency,
-                mask,
-                features,
+                subgraph.features,
                 local,
                 label,
                 self.size_coefficient,
                 self.entropy_coefficient,
-                feature_mask=feature_mask,
             )
-            if feature_mask is None:
-                gradient = grad(loss, mask)
-            else:
-                gradient, feature_gradient = grad(loss, [mask, feature_mask])
+            for _ in range(self.epochs):
+                mask = mask - self.lr * loss_and_grad(mask)[1]
+        else:
+            metrics.incr("explain.tape_fallback")
+            adjacency = Tensor(adjacency)
+            features = Tensor(subgraph.features)
+            mask = Tensor(mask, requires_grad=True)
+            if self.explain_features:
                 feature_mask = Tensor(
-                    feature_mask.data - self.lr * feature_gradient.data,
+                    rng.normal(0.0, MASK_INIT_SCALE, size=(subgraph.num_features,)),
                     requires_grad=True,
                 )
-            mask = Tensor(mask.data - self.lr * gradient.data, requires_grad=True)
+            for _ in range(self.epochs):
+                loss = explainer_loss(
+                    model,
+                    adjacency,
+                    mask,
+                    features,
+                    local,
+                    label,
+                    self.size_coefficient,
+                    self.entropy_coefficient,
+                    feature_mask=feature_mask,
+                )
+                if feature_mask is None:
+                    gradient = grad(loss, mask)
+                else:
+                    gradient, feature_gradient = grad(loss, [mask, feature_mask])
+                    feature_mask = Tensor(
+                        feature_mask.data - self.lr * feature_gradient.data,
+                        requires_grad=True,
+                    )
+                mask = Tensor(
+                    mask.data - self.lr * gradient.data, requires_grad=True
+                )
+            mask = mask.data
 
         with no_grad():
-            probability = symmetric_mask_probability(mask).data
+            probability = symmetric_mask_probability(Tensor(mask)).data
             feature_weights = (
                 ops.sigmoid(feature_mask).data if feature_mask is not None else None
             )

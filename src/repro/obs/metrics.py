@@ -38,6 +38,9 @@ Counter catalog (the names the platform emits today):
                                  non-GCN victim (``Attack.__init__``)
 ``locality.arch_fallback``       scenes declined for a victim without exact
                                  locality (GAT)
+``explain.tape_fallback``        ``GNNExplainer.explain_node`` calls that keep
+                                 the autodiff tape (a non-GCN victim or
+                                 ``explain_features=True``)
 ``parallel.items/failures``      units of work through ``parallel_map``
 ``phase.<span>.seconds/calls``   every closed :class:`repro.obs.tracer.Span`,
                                  traced or not: ``arena-run``,

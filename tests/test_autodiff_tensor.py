@@ -1,5 +1,8 @@
 """Tensor basics: construction, graph bookkeeping, grad-mode semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,24 @@ class TestGraphBookkeeping:
         assert b.requires_grad
         b.data[0] = 5.0
         assert a.data[0] == 1.0
+
+    @pytest.mark.parametrize("op", ["sigmoid", "exp", "tanh"])
+    def test_dropped_tape_freed_without_cyclic_gc(self, op):
+        # Ops whose VJP reads their own output must not make the tape a
+        # reference cycle: refcounting alone frees it once it is dropped.
+        x = Tensor([0.3, -1.2], requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = getattr(ad, op)(ad.exp(x) * 2.0)
+            loss = out.sum()
+            ad.grad(loss, x)
+            alive = [weakref.ref(out), weakref.ref(loss)]
+            del out, loss
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestGradMode:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import binary_auc, detection_report
+from repro.metrics.detection import average_ranks
 
 
 class _EmptyExplanation:
@@ -63,6 +64,41 @@ class TestBinaryAUC:
         scores = np.array([0.9, 0.1])
         labels = np.array([True, False])
         assert binary_auc(scores, labels) == 1.0
+
+
+class TestAverageRanks:
+    """``binary_auc``'s ranks are scipy's ``rankdata``, float for float."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3, -1.0, 2.5, 0.0, 7.0],
+            [0.5, 0.1, 0.5, 0.9, 0.1, 0.5, 0.0],
+            [0.0] * 6,
+            [4.0],
+            [],
+            [1.0, np.nan, 0.0],
+            np.random.default_rng(0).integers(0, 5, size=200).astype(float),
+            np.random.default_rng(1).random(200),
+        ],
+        ids=[
+            "untied",
+            "tied",
+            "all-equal",
+            "single",
+            "empty",
+            "nan",
+            "many-ties",
+            "random",
+        ],
+    )
+    def test_identical_to_scipy_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        expected = rankdata(values)
+        got = average_ranks(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestDetectionReportDegenerate:
