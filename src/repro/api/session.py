@@ -349,8 +349,11 @@ def _defense_runtime(defense_name, case, cell):
     The arena's explainer inspector is the paper's Section-3 defender: it
     holds a clean pre-attack snapshot, so only *new* edges are prunable
     (the knowledge detection@K assumes), and may prune as many edges as
-    the budget cap.  An adaptive attacker rebuilds the same wiring: the
-    snapshot is the graph it observes and the cap its own operating point.
+    the budget cap.  It examines the explanation's top-L window only (the
+    declared ``inspection_window`` config param), so evading it means
+    keeping adversarial edges *below* that window — GEAttack's objective.
+    An adaptive attacker rebuilds the same wiring: the snapshot is the
+    graph it observes and the cap its own operating point.
     """
     if defense_name != "explainer":
         return {}
@@ -485,9 +488,10 @@ class Session:
 
         Attack results and each defense's verdicts on them are read from
         ``store`` when present and computed (then stored) otherwise, so a
-        warm run attacks nothing and scores no defense.  ``progress``
-        (``callable(str)``) receives the historical one line per
-        execution cell.  Concurrent runs on one store coordinate
+        warm run attacks nothing and scores no defense.  A cell's missing
+        work is one pool map over its victims (see :meth:`_attempt_cell`).
+        ``progress`` (``callable(str)``) receives the historical one line
+        per execution cell.  Concurrent runs on one store coordinate
         through :meth:`ResultStore.fill`'s leases (see
         :class:`ArenaExperiment`).
         """
@@ -673,11 +677,16 @@ class Session:
 
         One :meth:`ResultStore.fill` under the cell's lease covers its
         attack records and its verdict records (one per victim × defense,
-        :func:`~repro.arena.grid.verdict_key`): the missing attacks execute
-        first, then each defense scores only its missing verdicts.  A warm
-        cell therefore attacks, rebuilds and scores nothing.  ``cached``,
-        ``executed`` and ``CellDeferred.missing`` count attack records.
+        :func:`~repro.arena.grid.verdict_key`).  Its compute is one
+        ``parallel_map`` whose unit is a victim with any missing key: the
+        unit attacks the victim if its record is missing, then scores
+        every defense whose verdict on it is missing, each under its own
+        ``defense`` span.  A warm cell therefore attacks, rebuilds and
+        scores nothing.  ``cached``, ``executed`` and
+        ``CellDeferred.missing`` count attack records.
         """
+        from repro.threat import execute_with_threat, resolve_threat
+
         case, victims = self.prepared(
             cell.dataset, seed=cell.seed, hidden=cell.hidden, arch=cell.arch
         )
@@ -694,31 +703,78 @@ class Session:
             verdicts[name] = [verdict_key(key, point) for key in keys]
 
         def compute(missing):
-            fresh, todo = {}, set(missing)
-            attacked = [i for i, key in enumerate(keys) if key in todo]
-            if attacked:
-                fresh.update(zip(
-                    (keys[i] for i in attacked),
-                    self._execute(cell, case, cfg, [specs[i] for i in attacked]),
-                ))
-            for name, names_keys in verdicts.items():
-                wanted = [i for i, key in enumerate(names_keys) if key in todo]
-                if not wanted:
-                    continue
-                # Score through the store's format: rebuild each perturbed
+            # Everything a unit needs is built (or read) here, once per
+            # cell; forked workers inherit it.
+            todo = set(missing)
+            threat = attack = attacker_defense = None
+            if any(key in todo for key in keys):
+                threat = resolve_threat(
+                    cell.threat, self.config, cell.seed, arch=cell.arch
+                )
+                attack = build_attack(
+                    cell.attack, case, self.config, context=self, threat=threat
+                )
+                attacker_defense = self._attacker_defense(threat, case, cell)
+            defenses = {
+                name: build_defense(
+                    name, case, config=self.config, context=self,
+                    **_defense_runtime(name, case, cell),
+                )
+                for name, names_keys in verdicts.items()
+                if any(key in todo for key in names_keys)
+            }
+            units = []
+            for i, key in enumerate(keys):
+                names = [name for name in defenses if verdicts[name][i] in todo]
+                if key in todo or names:
+                    units.append((i, names))
+            stored = {
+                i: store.get(keys[i]) for i, _ in units if keys[i] not in todo
+            }
+
+            def unit(item):
+                i, names = item
+                spec, rows = specs[i], {}
+                if keys[i] in todo:
+                    (result,) = execute_with_threat(
+                        attack, case, [spec], threat=threat,
+                        defense=attacker_defense,
+                    )
+                    rows[keys[i]] = {
+                        "schema": SCHEMA_VERSION, "cell": cfg,
+                        "victim": victim_dict(spec), "result": result.to_dict(),
+                    }
+                if not names:
+                    return rows
+                # Score through the store's format: rebuild the perturbed
                 # graph from its record, fresh or stored alike.
-                results = [
-                    AttackResult.from_dict(
-                        (fresh.get(keys[i]) or store.get(keys[i]))["result"],
-                        graph=case.graph,
-                    )
-                    for i in wanted
-                ]
-                with get_tracer().span("defense", defense=name):
-                    rows = self._score_defense(
-                        cell, name, case, [specs[i] for i in wanted], results
-                    )
-                fresh.update(zip((names_keys[i] for i in wanted), rows))
+                result = AttackResult.from_dict(
+                    (rows.get(keys[i]) or stored[i])["result"], graph=case.graph
+                )
+                perturbed = result.perturbed_graph
+                for name in names:
+                    defense = defenses[name]
+                    with get_tracer().span("defense", defense=name):
+                        rows[verdicts[name][i]] = {
+                            "evaded": bool(
+                                defense.predict(perturbed, spec.node)
+                                != result.original_prediction
+                            ),
+                            "attacked_flag": float(
+                                defense.flag(perturbed, spec.node)
+                            ),
+                            "clean_flag": float(
+                                defense.flag(case.graph, spec.node)
+                            ),
+                        }
+                return rows
+
+            fresh = {}
+            for rows in parallel_map(
+                unit, units, jobs=self.jobs,
+                describe=lambda u: f"victim {specs[u[0]].node} ({cell.attack})",
+            ):
+                fresh.update(rows)
             return [fresh[key] for key in missing]
 
         payloads, written = store.fill(
@@ -763,28 +819,6 @@ class Session:
             yield CellScored(evaluation, span=span.id)
         return cached, executed
 
-    def _execute(self, cell, case, cfg, specs):
-        """Attack a cell's missing victims; one store payload per spec."""
-        from repro.threat import execute_with_threat, resolve_threat
-
-        threat = resolve_threat(cell.threat, self.config, cell.seed, arch=cell.arch)
-        attack = build_attack(
-            cell.attack, case, self.config, context=self, threat=threat
-        )
-        results = execute_with_threat(
-            attack,
-            case,
-            specs,
-            threat=threat,
-            defense=self._attacker_defense(threat, case, cell),
-            jobs=self.jobs,
-        )
-        return [
-            {"schema": SCHEMA_VERSION, "cell": cfg, "victim": victim_dict(spec),
-             "result": result.to_dict()}
-            for spec, result in zip(specs, results)
-        ]
-
     def _attacker_defense(self, threat, case, cell):
         """The adaptive attacker's simulation of its adapted defense.
 
@@ -802,35 +836,4 @@ class Session:
         return build_defense(
             spec, attacker, config=self.config, context=self,
             **_defense_runtime(threat.defense, case, cell),
-        )
-
-    def _score_defense(self, cell, defense_name, case, specs, results):
-        """One defense's verdict record per victim (evasion + flags).
-
-        The explainer inspector examines the explanation's top-L window
-        only (the declared ``inspection_window`` config param), so evading
-        it means keeping adversarial edges *below* that window — GEAttack's
-        objective.  Its runtime wiring is :func:`_defense_runtime`'s.
-        """
-        defense = build_defense(
-            defense_name, case, config=self.config, context=self,
-            **_defense_runtime(defense_name, case, cell),
-        )
-
-        def verdict(item):
-            spec, result = item
-            defended = defense.predict(result.perturbed_graph, spec.node)
-            return {
-                "evaded": bool(defended != result.original_prediction),
-                "attacked_flag": float(
-                    defense.flag(result.perturbed_graph, spec.node)
-                ),
-                "clean_flag": float(defense.flag(case.graph, spec.node)),
-            }
-
-        return parallel_map(
-            verdict,
-            list(zip(specs, results)),
-            jobs=self.jobs,
-            describe=lambda item: f"victim {item[0].node}",
         )

@@ -468,9 +468,9 @@ class Attack:
     :mod:`repro.attacks.locality`) set ``supports_locality``; :meth:`attack`
     then accepts an optional ``locality`` scene.  :meth:`attack_many` is
     the batched multi-victim entry point: it builds one locality scene per
-    victim — so the dense inner math runs on the victim's computation
-    subgraph instead of the full graph — and can fan victims out over a
-    process pool.
+    victim, so the dense inner math runs on the victim's computation
+    subgraph instead of the full graph.  Attacks never fork: the engine
+    loops that call them own the process pool.
     """
 
     name = "base"
@@ -567,28 +567,16 @@ class Attack:
         gradient = grad(self._tape, adjacency).data
         return (gradient + gradient.T)[view.node, candidates]
 
-    def attack_many(self, graph, victims, jobs=1):
+    def attack_many(self, graph, victims):
         """Attack every victim; returns results in victim order.
 
-        Parameters
-        ----------
-        victims:
-            Iterable of :class:`VictimSpec`, pipeline ``Victim`` objects or
-            ``(node, target_label, budget)`` tuples.
-        jobs:
-            Process-pool width (:func:`repro.parallel.parallel_map`);
-            results are independent of ``jobs`` because every victim's RNG
-            stream is seeded by its global node id.
-
-        Each victim runs through :meth:`attack_one`.
+        ``victims`` is an iterable of :class:`VictimSpec`, pipeline
+        ``Victim`` objects or ``(node, target_label, budget)`` tuples.
+        Each victim runs through :meth:`attack_one`, seeded by its global
+        node id, so results are independent of how callers batch or
+        shard victims.
         """
-        from repro.parallel import parallel_map
-
-        specs = [coerce_victim(victim) for victim in victims]
-        return parallel_map(
-            lambda spec: self.attack_one(graph, spec), specs, jobs=jobs,
-            describe=lambda spec: f"victim {spec.node} ({self.name})",
-        )
+        return [self.attack_one(graph, victim) for victim in victims]
 
     def attack_one(self, graph, victim):
         """Attack one victim, on its locality subgraph when possible.

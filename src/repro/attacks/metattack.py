@@ -92,9 +92,9 @@ class Metattack(Attack):
         """Poison ``budget`` edge flips; report the victim's prediction flip.
 
         Follows the engine's seeding convention (``base_seed + victim``), so
-        :meth:`~repro.attacks.Attack.attack_many` results are independent of
-        shard order.  Flips may remove edges too; removals are recorded in
-        ``result.history`` as ``("removed", edge)`` entries, matching DICE.
+        results are independent of victim order and batching.  Flips may
+        remove edges too; removals are recorded in ``result.history`` as
+        ``("removed", edge)`` entries, matching DICE.
         """
         if self.model is None:
             raise ValueError(

@@ -245,6 +245,10 @@ def _preliminary(session, case, factory, title):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for flag in ("jobs", "workers"):  # --workers exists only for serve
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise SystemExit(f"error: --{flag} must be at least 1, got {value}")
     if args.command == "trace":
         return _trace(args)
     # Materialize the tracer (REPRO_TRACE=1) in the parent before any

@@ -56,9 +56,8 @@ class RunManifest:
         """``{span name: seconds}`` from the ``phase.*.seconds`` counters.
 
         Spans that run inside pool workers (``unit``, ``attack``,
-        ``explain``) sum worker time, so under ``jobs > 1`` they can
-        exceed ``wall_seconds``; ``defense`` wraps the pool map in the
-        parent and stays parent wall time.
+        ``explain``, ``defense``) sum worker time, so under ``jobs > 1``
+        they can exceed ``wall_seconds``.
         """
         phases = {}
         for name, value in self.counters.items():

@@ -51,10 +51,10 @@ Counter catalog (the names the platform emits today):
                                  ``lease-wait``
 ===============================  =============================================
 
-``phase.*`` seconds are summed where the span ran: ``unit``, ``attack``
-and ``explain`` run inside pool workers, so under ``jobs > 1`` they add
-up worker time and can exceed the run's wall-clock, while ``defense``
-wraps the whole pool map in the parent and stays parent wall time.
+``phase.*`` seconds are summed where the span ran: ``unit``, ``attack``,
+``explain`` and ``defense`` (one per arena verdict, inside its victim's
+unit) run inside pool workers, so under ``jobs > 1`` they add up worker
+time and can exceed the run's wall-clock.
 """
 
 from __future__ import annotations

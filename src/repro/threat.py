@@ -30,7 +30,9 @@ matter, without touching any attack's inner math:
 :func:`execute_with_threat` is the single entry point; under the default
 :class:`~repro.api.specs.ThreatModel` it forwards to
 ``attack.attack_many`` and is *byte-identical* to the historical path
-(asserted by ``tests/test_threat_models.py``).
+(asserted by ``tests/test_threat_models.py``).  It runs its victims in
+the calling process: the arena's per-cell pool map calls it once per
+victim, inside that victim's unit of work.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import replace
 from repro.api.specs import ThreatModel
 from repro.attacks.base import AttackResult, VictimSpec, coerce_victim, predict
 from repro.obs.tracer import get_tracer
-from repro.parallel import parallel_map
 
 __all__ = [
     "SURROGATE_SEED_OFFSET",
@@ -258,15 +259,10 @@ def adaptive_attack_one(attack, graph, spec, defense, victim_model):
     )
 
 
-def execute_with_threat(
-    attack,
-    case,
-    victims,
-    threat=None,
-    defense=None,
-    jobs=1,
-):
-    """Attack every victim under a threat model; results in victim order.
+def execute_with_threat(attack, case, victims, threat=None, defense=None):
+    """Attack every victim, in this process, under a threat model.
+
+    Returns results in victim order.
 
     Parameters
     ----------
@@ -294,22 +290,18 @@ def execute_with_threat(
     specs = [coerce_victim(victim) for victim in victims]
     graph = case.graph
     if threat.is_default:
-        return attack.attack_many(graph, specs, jobs=jobs)
+        return attack.attack_many(graph, specs)
     if threat.is_adaptive and defense is None:
         raise ValueError(
             "preprocess_aware execution needs the adapted defense instance"
         )
     victim_model = case.model
-
-    def run_one(spec):
-        if threat.is_adaptive:
-            return adaptive_attack_one(
-                attack, graph, spec, defense, victim_model
-            )
-        inner = attack.attack_one(graph, spec)
-        return reanchor_result(inner, graph, victim_model)
-
-    return parallel_map(
-        run_one, specs, jobs=jobs,
-        describe=lambda spec: f"victim {spec.node} ({attack.name})",
-    )
+    if threat.is_adaptive:
+        return [
+            adaptive_attack_one(attack, graph, spec, defense, victim_model)
+            for spec in specs
+        ]
+    return [
+        reanchor_result(attack.attack_one(graph, spec), graph, victim_model)
+        for spec in specs
+    ]

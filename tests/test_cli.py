@@ -161,6 +161,31 @@ class TestParser:
         # The store was neither created nor cleared.
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--jobs", "0", "arena"], "--jobs must be at least 1, got 0"),
+            (["--jobs", "-2", "arena"], "--jobs must be at least 1, got -2"),
+            (
+                ["serve", "--port", "0", "--workers", "0"],
+                "--workers must be at least 1, got 0",
+            ),
+            (
+                ["serve", "--port", "0", "--workers", "-1"],
+                "--workers must be at least 1, got -1",
+            ),
+        ],
+    )
+    def test_pool_width_below_one_exits_cleanly(self, argv, fragment, tmp_path):
+        """A zero or negative pool width is a one-line error, not a silent
+        serial run (same convention as --threat)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--store", str(tmp_path / "store")])
+        message = str(excinfo.value)
+        assert message.startswith("error: ")
+        assert fragment in message
+        assert not (tmp_path / "store").exists()
+
 
 class TestExecution:
     def test_table3_runs(self, capsys):

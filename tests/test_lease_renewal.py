@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import threat as threat_module
 from repro.api import Session
 from repro.api import session as session_module
 from repro.arena import ResultStore, ScenarioGrid
@@ -108,19 +109,20 @@ class TestSlowCellExecutesOnce:
         """Two contending processes, execution slower than the lease TTL.
 
         The winner's heartbeat keeps renewing the 0.3s lease through a
-        ~1s execution; the loser defers, polls, and loads the committed
-        results — each victim is attacked exactly once across both runs.
+        ~1s attack per victim; the loser defers, polls, and loads the
+        committed results — each victim is attacked exactly once across
+        both runs.
         """
         cases = {}
         Session(config=CONFIG, cases=cases).prepared("cora")  # pre-train
 
-        original = Session._execute
+        original = threat_module.execute_with_threat
 
-        def slow_execute(self, cell, case, cfg, specs):
+        def slow_execute(*args, **kwargs):
             time.sleep(1.0)  # > 3 full TTLs under the lease
-            return original(self, cell, case, cfg, specs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(Session, "_execute", slow_execute)
+        monkeypatch.setattr(threat_module, "execute_with_threat", slow_execute)
         monkeypatch.setattr(store_module, "LEASE_TTL", 0.3)
         monkeypatch.setattr(session_module, "POLL_INTERVAL", 0.05)
 
@@ -130,7 +132,7 @@ class TestSlowCellExecutesOnce:
 
         def contend(slot):
             # The forked child inherits the pre-trained cases and the
-            # slowed-down ``_execute``.
+            # slowed-down ``execute_with_threat``.
             session = Session(config=CONFIG, cases=cases)
             run = session.arena(GRID, ResultStore(store_root))
             outcomes.put((slot, run))
@@ -151,7 +153,7 @@ class TestSlowCellExecutesOnce:
         assert total_loaded == 3  # the loser served entirely from the store
         assert runs[0].deferred + runs[1].deferred >= 1
 
-        monkeypatch.setattr(Session, "_execute", original)
+        monkeypatch.setattr(threat_module, "execute_with_threat", original)
         warm = Session(config=CONFIG, cases=cases).arena(
             GRID, ResultStore(store_root)
         )

@@ -443,6 +443,71 @@ class TestSpanPhases:
         assert pooled.counters["phase.attack.calls"] == 3
 
 
+def _traced_arena(cases, grid, store_dir, path, jobs):
+    """A traced arena run over ``grid``: ``(run, records)``."""
+    start_trace(str(path))
+    try:
+        run = Session(ARENA_CONFIG, jobs=jobs, cases=cases).arena(
+            grid, ResultStore(store_dir)
+        )
+    finally:
+        stop_trace()
+    return run, validate_trace(str(path))
+
+
+class TestArenaUnits:
+    """One pool map per arena cell: a unit is one victim's attack plus its
+    missing verdicts, and every ``defense`` span runs inside a unit."""
+
+    GRID = replace(
+        ARENA_GRID, attacks=("FGA-T", "RNA"), defenses=("none", "jaccard")
+    )
+
+    def test_cold_cell_is_one_unit_per_victim_at_any_width(
+        self, arena_cases, tmp_path
+    ):
+        if not fork_available():
+            pytest.skip("fork unavailable")
+        # Train first, so neither traced run opens a case-prep span.
+        Session(ARENA_CONFIG, cases=arena_cases).prepared("cora")
+        (run, records), (pooled_run, pooled) = [
+            _traced_arena(
+                arena_cases, self.GRID, tmp_path / f"j{jobs}",
+                tmp_path / f"j{jobs}.jsonl", jobs,
+            )
+            for jobs in (1, 2)
+        ]
+        assert [_shape(r) for r in records] == [_shape(r) for r in pooled]
+        names = {record["span"]: record["name"] for record in records}
+        defense_spans = [r for r in records if r["name"] == "defense"]
+        verdicts = run.executed * len(self.GRID.defenses)
+        assert run.executed == 2 * ARENA_CONFIG.num_victims
+        assert list(names.values()).count("unit") == run.executed
+        assert len(defense_spans) == verdicts
+        assert {names[r["parent"]] for r in defense_spans} == {"unit"}
+        for manifest in (run.manifest, pooled_run.manifest):
+            assert manifest.counters["phase.defense.calls"] == verdicts
+
+    def test_widening_is_one_unit_per_victim_for_the_new_defense(
+        self, arena_cases, tmp_path
+    ):
+        store = tmp_path / "store"
+        narrow = replace(self.GRID, defenses=("none",))
+        Session(ARENA_CONFIG, cases=arena_cases).arena(
+            narrow, ResultStore(store)
+        )
+        run, records = _traced_arena(
+            arena_cases, self.GRID, store, tmp_path / "t.jsonl", jobs=2
+        )
+        names = [record["name"] for record in records]
+        assert run.executed == 0
+        assert names.count("attack") == 0
+        assert names.count("unit") == run.loaded
+        assert [
+            r["attrs"]["defense"] for r in records if r["name"] == "defense"
+        ] == ["jaccard"] * run.loaded
+
+
 class TestManifest:
     def _manifest(self):
         return build_manifest(
